@@ -4,8 +4,8 @@ Times the engine's optimizations against their reference oracles and writes
 ``BENCH_nn_engine.json`` at the repo root:
 
 - **decode**: tokens/sec of KV-cached incremental decoding
-  (``generate(use_cache=True)``) vs the full-prefix re-decode
-  (``use_cache=False``) at several pinned decode lengths, plus a lazy-vs-
+  (``generate``) vs the full-prefix re-decode (:mod:`tests.reference.decode`)
+  at several pinned decode lengths, plus a lazy-vs-
   eager A/B of the cached path — the lazy engine traces each decode step
   into one fused multi-output plan (``repro.nn.lazy.jit``) and replays it
   with zero graph re-dispatch;
@@ -14,8 +14,8 @@ Times the engine's optimizations against their reference oracles and writes
   ``dp_sgd_step`` loop, plus the same lazy-vs-eager A/B of the vectorized
   clip/sum pipeline;
 - **synthesize**: end-to-end S2 candidate throughput of
-  ``TransformerTextSynthesizer.synthesize`` with the generation cache on/off
-  and lazy on/off;
+  ``TransformerTextSynthesizer.synthesize`` with cached vs full-prefix
+  decoding and lazy on/off;
 - **engine**: schedule-cache and trace-cache hit rates observed during the
   run (the ``/stats`` ``nn_engine`` payload).
 
@@ -47,6 +47,7 @@ import numpy as np
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_nn_engine.json"
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # tests.reference
 
 
 def _timed(func) -> tuple[float, object]:
@@ -78,6 +79,7 @@ def _trace_hit_rate(before: dict, after: dict) -> float:
 def bench_decode(smoke: bool) -> dict:
     from repro.nn import lazy
     from repro.nn.transformer import Seq2SeqTransformer, TransformerConfig
+    from tests.reference import decode as reference
 
     if smoke:
         lengths, batch, reps = [8, 24], 4, 3
@@ -99,10 +101,13 @@ def bench_decode(smoke: bool) -> dict:
         # min_new_tokens == max_new_tokens pins every row to exactly
         # ``length`` decode steps, so both paths emit batch*length tokens.
         def decode(cached: bool):
-            return model.generate(
-                src, temperature=0.9, rng=np.random.default_rng(length),
-                max_new_tokens=length, min_new_tokens=length, use_cache=cached,
+            kwargs = dict(
+                temperature=0.9, rng=np.random.default_rng(length),
+                max_new_tokens=length, min_new_tokens=length,
             )
+            if cached:
+                return model.generate(src, **kwargs)
+            return reference.generate(model, src, **kwargs)
 
         # Lazy cached decode: one warm pass captures the step traces, then
         # the timed passes are pure plan replays.
@@ -231,6 +236,7 @@ def bench_synthesize(smoke: bool) -> dict:
         TransformerTextSynthesizer,
         TransformerTextSynthesizerConfig,
     )
+    from tests.reference import decode as reference
 
     calls = 4 if smoke else 12
     config = TransformerTextSynthesizerConfig(
@@ -255,22 +261,21 @@ def bench_synthesize(smoke: bool) -> dict:
         for i in range(calls)
     ]
 
-    def run(cached: bool):
-        synthesizer.set_generation_cache(cached)
+    def run():
         rng = np.random.default_rng(31)
         return [
             synthesizer.synthesize(text, sim, rng).text
             for text, sim in requests
         ]
 
-    run(True)  # warm the step traces before timing the lazy path
-    cached_s, cached_out = _timed(lambda: run(True))
-    uncached_s, uncached_out = _timed(lambda: run(False))
+    run()  # warm the step traces before timing the lazy path
+    cached_s, cached_out = _timed(run)
+    with reference.uncached():
+        uncached_s, uncached_out = _timed(run)
     with lazy.disabled():
-        eager_s, eager_out = _timed(lambda: run(True))
+        eager_s, eager_out = _timed(run)
     assert cached_out == uncached_out, "synthesize outputs diverged"
     assert cached_out == eager_out, "lazy/eager synthesize outputs diverged"
-    synthesizer.set_generation_cache(True)
     candidates = calls * config.n_candidates
     return {
         "shape": f"{calls} synthesize calls x {config.n_candidates} candidates",

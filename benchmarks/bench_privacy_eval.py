@@ -9,8 +9,9 @@ Two questions this benchmark answers:
    must beat the naive all-pairs scalar loop by a wide margin — that gap
    is what makes a publish-time audit affordable.  The scalar loop is
    measured on a row subset and extrapolated to pairs/second (its cost is
-   linear in rows), the kernel path on the full cross product; both paths
-   are bit-identical (asserted here on the shared subset, and in
+   linear in rows), the kernel path on the full cross product.  The scalar
+   loop is :mod:`tests.reference.similarity`; both are bit-identical
+   (asserted here on the shared subset, and in
    tests/test_privacy_attacks.py).
 2. **Attack wall-clock**: how long one membership-inference battery and
    one full :func:`~repro.privacy.report.build_privacy_report` publish
@@ -30,6 +31,7 @@ import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # tests.reference
 OUTPUT_PATH = REPO_ROOT / "BENCH_privacy_eval.json"
 
 FULL = {
@@ -52,6 +54,7 @@ def _dcr_throughput(params: dict) -> dict:
     from repro.datasets import load_dataset
     from repro.privacy.attacks import nearest_record_battery
     from repro.similarity.vector import SimilarityModel
+    from tests.reference import similarity as reference
 
     real = load_dataset("restaurant", scale=params["scale"], seed=params["seed"])
     model = SimilarityModel.from_relations(real.table_a, real.table_b)
@@ -67,9 +70,7 @@ def _dcr_throughput(params: dict) -> dict:
 
     subset = synthetic[: params["scalar_rows"]]
     started = time.perf_counter()
-    scalar_audit = nearest_record_battery(
-        model, subset, real_rows, use_kernels=False
-    )
+    scalar_audit = reference.nearest_record_battery(model, subset, real_rows)
     scalar_seconds = time.perf_counter() - started
     scalar_pairs = scalar_audit.pairs_scored
 

@@ -1,7 +1,7 @@
 """Perf trajectory — scalar vs kernel similarity computation.
 
-Times the three kernel shapes against the scalar reference path on the
-restaurant benchmark and writes ``BENCH_similarity_kernels.json`` at the repo
+Times the three kernel shapes against the scalar reference path
+(:mod:`tests.reference.similarity`) on the restaurant benchmark and writes ``BENCH_similarity_kernels.json`` at the repo
 root:
 
 - **cross_block**: dense S3 labeling (``label_all_pairs`` without a blocker);
@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 import time
 
 import numpy as np
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # tests.reference
 OUTPUT_PATH = REPO_ROOT / "BENCH_similarity_kernels.json"
 
 
@@ -36,6 +38,7 @@ def run(scale: float = 1.0, seed: int = 11) -> dict:
     from repro.distributions.mixture import PairDistribution
     from repro.similarity.candidates import TokenBlocker
     from repro.similarity.vector import SimilarityModel
+    from tests.reference import similarity as reference
 
     dataset = load_dataset("restaurant", scale=scale, seed=seed)
     rng = np.random.default_rng(seed)
@@ -62,13 +65,11 @@ def run(scale: float = 1.0, seed: int = 11) -> dict:
     record(
         "label_all_pairs_dense",
         f"{n_a}x{n_b} cross pairs",
-        lambda: label_all_pairs(
+        lambda: reference.label_all_pairs(
             dataset.table_a, dataset.table_b, set(), o_real, model,
-            use_kernels=False,
         ),
         lambda: label_all_pairs(
             dataset.table_a, dataset.table_b, set(), o_real, model,
-            use_kernels=True,
         ),
     )
 
@@ -76,13 +77,13 @@ def run(scale: float = 1.0, seed: int = 11) -> dict:
     record(
         "label_all_pairs_blocked",
         f"{n_a}x{n_b} via token blocker",
-        lambda: label_all_pairs(
+        lambda: reference.label_all_pairs(
             dataset.table_a, dataset.table_b, set(), o_real, model,
-            blocker=blocker, use_kernels=False,
+            blocker=blocker,
         ),
         lambda: label_all_pairs(
             dataset.table_a, dataset.table_b, set(), o_real, model,
-            blocker=blocker, use_kernels=True,
+            blocker=blocker,
         ),
     )
 

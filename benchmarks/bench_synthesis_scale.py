@@ -4,14 +4,15 @@ Fits one restaurant model at ``scale=1.0``, then synthesizes a target
 **5x the real tables** (8640 entities — the size of a scale-5 restaurant,
 the paper's scalability regime) four ways:
 
-- ``sequential_baseline``: the sequential S2 loop with every one of this
-  PR's S2 optimizations reverted via ``fastpath.disabled()`` — scalar
-  scipy density kernels, per-call JSD with both sides resampled (no
-  cached ``PairJsdEstimator``), per-call q-gram tokenization, and full
-  profile rebuilds.  Validated against a checkout of the pre-PR tree:
+- ``sequential_baseline``: the sequential S2 loop with every S2
+  optimization patched back to its reference
+  (:func:`tests.reference.seed_path.seed_path`) — per-component scipy
+  densities, per-call JSD with both sides resampled (no cached
+  ``PairJsdEstimator``), per-call q-gram tokenization, and full profile
+  rebuilds.  Validated against a checkout of the pre-optimization tree:
   throughput agrees within measurement noise.
-- ``sequential_fastpath``: the same loop with the optimizations on
-  (what a ``shards=1`` job runs).
+- ``sequential_fastpath``: the same loop on the production paths (what a
+  ``shards=1`` job runs).
 - ``workers=N``: a real :class:`~repro.service.worker.WorkerPool` of N
   subprocess workers draining one ``shards=N`` job — coordinator fan-out,
   cross-shard O_syn steering, streaming merge + S3.
@@ -49,6 +50,7 @@ import time
 import warnings
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # tests.reference
 OUTPUT_PATH = REPO_ROOT / "BENCH_synthesis_scale.json"
 
 FULL = {
@@ -64,23 +66,6 @@ SMOKE = {
     "seed": 11,
 }
 JOB_TIMEOUT_SECONDS = 900.0
-
-
-@contextlib.contextmanager
-def _seed_path():
-    """Run the sequential loop on the seed's execution paths.
-
-    ``fastpath.disabled()`` selects the reference implementation at every
-    gate this work introduced: scalar scipy density kernels, per-call JSD
-    with both sides resampled (no cached ``PairJsdEstimator``), per-call
-    q-gram tokenization, and full profile rebuilds instead of append-only
-    extension.  Validated against a checkout of the pre-optimization
-    tree: throughput agrees within measurement noise.
-    """
-    from repro.distributions import fastpath
-
-    with fastpath.disabled():
-        yield
 
 
 def _peak_rss_kb(who) -> int:
@@ -101,13 +86,12 @@ def _registry(scratch: pathlib.Path, *, fit_scale: float, seed: int):
 def _sequential(registry, n_a, n_b, seed, *, seed_path: bool):
     import numpy as np
 
+    from tests.reference import seed_path as reference
+
     synthesizer, _ = registry.load("restaurant")
     synthesizer.rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    if seed_path:
-        with _seed_path():
-            output = synthesizer.synthesize(n_a, n_b)
-    else:
+    with reference.seed_path() if seed_path else contextlib.nullcontext():
         output = synthesizer.synthesize(n_a, n_b)
     elapsed = time.perf_counter() - started
     return output, {

@@ -881,7 +881,7 @@ def _cmd_nn_plans(args) -> int:
     for _ in range(2):  # capture pass + replay pass
         model.generate(
             src, max_new_tokens=6, min_new_tokens=6,
-            rng=np.random.default_rng(5), use_cache=True,
+            rng=np.random.default_rng(5),
         )
 
     examples = [

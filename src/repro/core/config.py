@@ -8,6 +8,15 @@ from repro.gan.training import TabularGANConfig
 from repro.privacy.dpsgd import DPSGDConfig
 from repro.textgen.transformer_backend import TransformerTextSynthesizerConfig
 
+# Removed switches that only chose between two implementations of one
+# computation.  Checkpoint manifests and registry metadata written while
+# they existed still carry them, so ``from_dict`` drops them.
+RETIRED_KEYS = (
+    "use_similarity_kernels",
+    "transformer.dp_vectorized",
+    "transformer.generation_cache",
+)
+
 
 @dataclass
 class SERDConfig:
@@ -84,11 +93,6 @@ class SERDConfig:
         token cannot reach a match-grade posterior), turning the quadratic
         labeling pass into a near-linear one for large syntheses.  Requires
         at least one string-like column.
-    use_similarity_kernels:
-        Route batch similarity computation (S1 extraction, S2 ``Delta
-        X_syn``, S3 labeling) through the vectorized kernel layer
-        (:mod:`repro.similarity.kernels`).  ``False`` uses the scalar
-        reference path; results are bit-identical either way.
     one_to_one_matches:
         Prefer match-free anchors when sampling a matching similarity
         vector.  Real ER benchmarks are (near) one-to-one; without this,
@@ -155,7 +159,6 @@ class SERDConfig:
     hard_negative_fraction: float = 0.5
     label_all_pairs: bool = True
     use_blocking_for_labeling: bool = False
-    use_similarity_kernels: bool = True
     one_to_one_matches: bool = True
     fallback_warn_threshold: float = 0.5
     fallback_warn_min: int = 20
@@ -211,10 +214,13 @@ class SERDConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "SERDConfig":
         payload = dict(payload)
+        transformer = dict(payload["transformer"])
+        for key in RETIRED_KEYS:
+            section, _, name = key.rpartition(".")
+            (transformer if section else payload).pop(name, None)
         if payload.get("dp") is not None:
             payload["dp"] = DPSGDConfig(**payload["dp"])
         payload["gan"] = TabularGANConfig(**payload["gan"])
-        transformer = dict(payload["transformer"])
         if transformer.get("dp") is not None:
             transformer["dp"] = DPSGDConfig(**transformer["dp"])
         payload["transformer"] = TransformerTextSynthesizerConfig(**transformer)

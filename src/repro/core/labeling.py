@@ -4,17 +4,12 @@ After S2, only the sampled pairs carry labels.  Every other cross pair gets
 its similarity vector computed and is labeled matching when
 ``P_m(x) >= P_n(x)`` under the real O-distribution.
 
-Two similarity paths exist:
-
-- **kernel** (default): the relations are profiled once
-  (:mod:`repro.similarity.kernels`) and scored as tiled all-pairs similarity
-  tensors (dense path) or batched index-pair gathers (blocked path);
-- **scalar** (``use_kernels=False``): the original one-pair-at-a-time
-  reference loop, kept for equivalence testing and benchmarking.
-
-Both paths visit pairs in the same row-major / candidate order and produce
-bit-identical posteriors, so the selected matches — including stable-sort
-tie-breaks under ``max_matches`` — are the same.
+The relations are profiled once (:mod:`repro.similarity.kernels`) and
+scored as tiled all-pairs similarity tensors (dense path) or, with a
+blocker, as batched index-pair gathers (blocked path).  Both visit pairs in
+row-major / candidate order, the order of a one-pair-at-a-time loop, so
+the selected matches — including stable-sort tie-breaks under
+``max_matches`` — equal that loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ def label_all_pairs(
     batch_size: int = 4096,
     max_matches: int | None = None,
     blocker=None,
-    use_kernels: bool | None = None,
 ) -> tuple[list[Pair], int]:
     """Posterior-label every cross pair not in ``known_pairs``.
 
@@ -57,17 +51,8 @@ def label_all_pairs(
     blocking candidates are scored and every other pair is non-matching by
     construction — a faithful fast path, since pairs sharing no blocking key
     cannot reach a match-grade posterior.
-
-    ``use_kernels`` defaults to the similarity model's own setting.
     """
-    if use_kernels is None:
-        use_kernels = similarity_model.use_kernels
-    if not use_kernels:
-        candidates, n_labeled = _scalar_candidates(
-            table_a, table_b, known_pairs, o_real, similarity_model,
-            batch_size=batch_size, blocker=blocker,
-        )
-    elif blocker is not None:
+    if blocker is not None:
         candidates, n_labeled = _blocked_candidates(
             table_a, table_b, known_pairs, o_real, similarity_model,
             batch_size=batch_size, blocker=blocker,
@@ -155,49 +140,3 @@ def _blocked_candidates(
                 candidates.append((float(p_match), pair))
     return candidates, len(pairs)
 
-
-def _scalar_candidates(
-    table_a: Relation,
-    table_b: Relation,
-    known_pairs: set[Pair],
-    o_real: PairDistribution,
-    similarity_model: SimilarityModel,
-    *,
-    batch_size: int,
-    blocker,
-) -> tuple[list[tuple[float, Pair]], int]:
-    """Reference path: one similarity vector per pair, in python."""
-    candidates: list[tuple[float, Pair]] = []
-    n_labeled = 0
-    batch_pairs: list[Pair] = []
-    batch_vectors: list[np.ndarray] = []
-
-    def _flush() -> None:
-        nonlocal n_labeled
-        if not batch_pairs:
-            return
-        vectors = np.vstack(batch_vectors)
-        posterior = o_real.posterior_match(vectors)
-        for pair, p_match in zip(batch_pairs, posterior):
-            if p_match >= 0.5:
-                candidates.append((float(p_match), pair))
-        n_labeled += len(batch_pairs)
-        batch_pairs.clear()
-        batch_vectors.clear()
-
-    if blocker is not None:
-        pair_iterator = iter(blocker.candidate_pairs(table_a, table_b))
-    else:
-        pair_iterator = (
-            (entity_a, entity_b) for entity_a in table_a for entity_b in table_b
-        )
-    for entity_a, entity_b in pair_iterator:
-        pair = (entity_a.entity_id, entity_b.entity_id)
-        if pair in known_pairs:
-            continue
-        batch_pairs.append(pair)
-        batch_vectors.append(similarity_model.vector(entity_a, entity_b))
-        if len(batch_pairs) >= batch_size:
-            _flush()
-    _flush()
-    return candidates, n_labeled

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import SERDConfig
-from repro.distributions import fastpath
-from repro.distributions.divergence import (
-    PairJsdEstimator,
-    jensen_shannon_divergence,
-)
+from repro.distributions.divergence import PairJsdEstimator
 from repro.distributions.gmm import select_gmm_by_aic
 from repro.distributions.incremental import IncrementalGMM
 from repro.distributions.mixture import PairDistribution
@@ -224,40 +220,20 @@ class RejectionPolicy:
         self.peer_jsd = None if jsd is None else float(jsd)
         self.peer_pairs = int(n_pairs) if jsd is not None else 0
 
-    def _estimator(self) -> PairJsdEstimator:
+    def _jsd_eval(self, dist_p) -> float:
+        """``JSD(dist_p, O_real)`` through the policy's cached estimator.
+
+        The :class:`PairJsdEstimator` computes the reference side (samples
+        and log densities of ``O_real``) once per policy, so each call
+        only pays for ``dist_p``.
+        """
         if self._jsd is None:
             self._jsd = PairJsdEstimator(
                 self.tracker.o_real,
                 seed=self.jsd_seed,
                 n_samples=self.config.jsd_samples,
             )
-        return self._jsd
-
-    def _jsd_eval(self, dist_p) -> float:
-        """``JSD(dist_p, O_real)`` under the active execution path.
-
-        The fast path holds a :class:`PairJsdEstimator` whose reference
-        side (samples and log densities of ``O_real``) is computed once
-        per policy.  The reference path re-derives both sides on every
-        call through :func:`jensen_shannon_divergence` with a single
-        sequential stream — the seed loop's exact cost model — so
-        benchmarks run under ``fastpath.disabled()`` measure the
-        pre-optimization rejection loop, not a half-optimized hybrid.
-        The two paths draw different Monte-Carlo noise, so they may make
-        different accept/reject calls; each is deterministic per seed.
-        """
-        if fastpath.enabled():
-            return self._estimator()(dist_p)
-        dist_q = self.tracker.o_real
-        rng = np.random.default_rng(self.jsd_seed)
-        return jensen_shannon_divergence(
-            dist_p.log_pdf,
-            dist_q.log_pdf,
-            lambda n, r: dist_p.sample(n, r)[0],
-            lambda n, r: dist_q.sample(n, r)[0],
-            rng,
-            n_samples=self.config.jsd_samples,
-        )
+        return self._jsd(dist_p)
 
     def record_fallback(self) -> None:
         """Count one slot that exhausted its retries (livelock telemetry)."""

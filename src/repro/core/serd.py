@@ -209,8 +209,7 @@ class SERDSynthesizer:
         # Deterministic, RNG-free setup — always recomputed (cheap relative
         # to training; checkpoints hold only the expensive learned state).
         self.similarity_model = SimilarityModel.from_relations(
-            real.table_a, real.table_b,
-            use_kernels=self.config.use_similarity_kernels,
+            real.table_a, real.table_b
         )
         self._background = self._resolve_background(real, background)
         self._categorical_values = self._collect_categorical_values(real)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from repro.distributions import fastpath
-
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -75,9 +73,9 @@ class GaussianComponent:
     def chol_inverse(self) -> np.ndarray:
         """``L^{-1}`` with ``Sigma = L L^T``, solved once and cached.
 
-        Turns every later Mahalanobis evaluation into a single matmul —
-        the fast path's building block (triangular solves carry per-call
-        LAPACK wrapper overhead that dwarfs the arithmetic at d = 4-8).
+        Turns every later Mahalanobis evaluation into a single matmul
+        (triangular solves carry per-call LAPACK wrapper overhead that
+        dwarfs the arithmetic at d = 4-8).
         """
         if self._chol_inv is None:
             self._chol_inv = solve_triangular(
@@ -88,19 +86,8 @@ class GaussianComponent:
     def log_pdf(self, points: np.ndarray) -> np.ndarray:
         """Log density at each row of ``points`` (shape ``(n, d)`` or ``(d,)``)."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if fastpath.enabled():
-            z = (points - self.mean) @ self.chol_inverse.T
-            mahalanobis = np.einsum("nd,nd->n", z, z)
-            return -0.5 * (self.dim * _LOG_2PI + self._log_det + mahalanobis)
-        return self.log_pdf_reference(points)
-
-    def log_pdf_reference(self, points: np.ndarray) -> np.ndarray:
-        """Scalar oracle for :meth:`log_pdf` (per-call triangular solve)."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        centered = points - self.mean
-        # Solve L z = centered^T; then the Mahalanobis term is ||z||^2.
-        z = solve_triangular(self._chol, centered.T, lower=True)
-        mahalanobis = np.sum(z * z, axis=0)
+        z = (points - self.mean) @ self.chol_inverse.T
+        mahalanobis = np.einsum("nd,nd->n", z, z)
         return -0.5 * (self.dim * _LOG_2PI + self._log_det + mahalanobis)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from repro.distributions import fastpath
-from repro.distributions.gmm import GaussianMixture, select_gmm_by_aic
+from repro.distributions.gmm import (
+    GaussianMixture,
+    logsumexp_rows,
+    select_gmm_by_aic,
+)
 
 
 @dataclass
@@ -72,24 +74,20 @@ class PairDistribution:
     # Densities and posteriors
     # ------------------------------------------------------------------
     def log_pdf(self, points: np.ndarray) -> np.ndarray:
-        """Mixture log density ``log p(x)`` at each row of ``points``."""
-        if fastpath.enabled():
-            # One log-sum-exp over the union of both GMMs' components —
-            # p(x) is itself a mixture of g_m + g_n Gaussians.
-            joint = np.hstack(
-                [
-                    np.log(self.match_probability)
-                    + self.match_distribution.component_log_pdf(points),
-                    np.log1p(-self.match_probability)
-                    + self.non_match_distribution.component_log_pdf(points),
-                ]
-            )
-            return fastpath.logsumexp_rows(joint)
-        log_m = np.log(self.match_probability) + self.match_distribution.log_pdf(points)
-        log_n = np.log1p(-self.match_probability) + self.non_match_distribution.log_pdf(
-            points
+        """Mixture log density ``log p(x)`` at each row of ``points``.
+
+        One log-sum-exp over the union of both GMMs' components — p(x) is
+        itself a mixture of g_m + g_n Gaussians.
+        """
+        joint = np.hstack(
+            [
+                np.log(self.match_probability)
+                + self.match_distribution.component_log_pdf(points),
+                np.log1p(-self.match_probability)
+                + self.non_match_distribution.component_log_pdf(points),
+            ]
         )
-        return logsumexp(np.column_stack([log_m, log_n]), axis=1)
+        return logsumexp_rows(joint)
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         return np.exp(self.log_pdf(points))

@@ -136,12 +136,6 @@ class LayerKVCache:
             self.self_k = np.concatenate([self.self_k, k_new], axis=2)
             self.self_v = np.concatenate([self.self_v, v_new], axis=2)
 
-    def reorder(self, indices: np.ndarray) -> None:
-        """Re-gather the self-attention rows (beam-search survivor select)."""
-        if self.self_k is not None:
-            self.self_k = self.self_k[indices]
-            self.self_v = self.self_v[indices]
-
 
 def padding_mask(token_ids: np.ndarray, pad_id: int) -> np.ndarray:
     """Mask blocking attention *to* padding keys.

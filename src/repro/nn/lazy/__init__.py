@@ -8,12 +8,10 @@ through a fused, shape-keyed schedule cache (see
 tracked forwards always run eagerly, so autograd and the per-sample
 gradient instrumentation are untouched.
 
-Eager mode is the bit-level equivalence oracle, following the repo's
-fastpath-oracle pattern (:mod:`repro.distributions.fastpath`, the decode
-``generation_cache``, vectorized DP-SGD): disable with the
-``REPRO_NN_LAZY=0`` environment variable, :func:`set_enabled`, or the
-:func:`disabled` context manager.  The flag is process-global for the
-same reason fastpath's is — the decode loop realizes thousands of graphs
+Eager mode is the bit-level equivalence oracle (and autograd's path):
+select it with the ``REPRO_NN_LAZY=0`` environment variable,
+:func:`set_enabled`, or the :func:`disabled` context manager.  The flag
+is process-global because the decode loop realizes thousands of graphs
 per synthesized entity, and nobody tunes laziness per-call.
 
 Plan-cache capacity is ``REPRO_NN_PLAN_CACHE`` (default 256, bounded

@@ -66,8 +66,8 @@ def _sample_next_tokens(
     distribution (`cumsum` + threshold count) — replacing the per-row
     ``rng.choice`` loop with the same O(batch · vocab) arithmetic done in
     numpy, and consuming a fixed amount of RNG state per step regardless of
-    the probabilities (which is what makes cached and uncached decoding
-    byte-identical under a shared generator).
+    the probabilities (which is what makes cached decoding byte-identical
+    to a full-prefix re-decode under a shared generator).
     """
     if greedy or temperature <= 0:
         return logits.argmax(axis=-1).astype(np.int64)
@@ -81,12 +81,6 @@ def _sample_next_tokens(
     draws = np.nextafter(rng.random(logits.shape[0]), 1.0)
     next_ids = (cumulative < draws[:, None]).sum(axis=1)
     return np.minimum(next_ids, logits.shape[1] - 1).astype(np.int64)
-
-
-def _log_probs(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax for beam scoring; ``-inf`` entries stay ``-inf``."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 class DecodeCache:
@@ -104,11 +98,6 @@ class DecodeCache:
         self.layers = layers
         self.memory_mask = memory_mask
         self.length = 0
-
-    def reorder(self, indices: np.ndarray) -> None:
-        """Re-gather self-attention rows (beam-search survivor selection)."""
-        for layer in self.layers:
-            layer.reorder(indices)
 
 
 def sinusoidal_positions(max_length: int, d_model: int) -> np.ndarray:
@@ -274,12 +263,10 @@ class Seq2SeqTransformer(Module):
         self.embed_dropout = Dropout(config.dropout, rng)
         self.scale = float(np.sqrt(config.d_model))
         # Operator-visible decode telemetry (surfaced through the service
-        # /stats endpoint): how many generate calls ran cached vs. uncached
-        # and how many token steps each path produced.
+        # /stats endpoint): generate calls and the token steps they decoded.
         self.decode_stats: dict[str, int] = {
             "generate_calls": 0,
             "cached_tokens": 0,
-            "uncached_tokens": 0,
         }
         # JIT step traces: one multi-output fused plan per decode-step shape
         # key, replayed with zero graph construction (repro.nn.lazy.jit).
@@ -342,8 +329,8 @@ class Seq2SeqTransformer(Module):
         ``new_ids`` is ``(batch, n_new)`` — during generation ``n_new`` is 1
         (the token emitted by the previous step); a longer block acts as a
         prefill with an internal causal mask.  The query batch may exceed the
-        cached cross-attention batch when the memory is shared (beam rows
-        over one source); numpy broadcasting handles the fan-out.
+        cached cross-attention batch when the memory is shared; numpy
+        broadcasting handles the fan-out.
 
         No explicit padding mask is applied to the cached prefix: rows only
         ever contain PAD after they have emitted EOS, and ``generate``
@@ -452,7 +439,6 @@ class Seq2SeqTransformer(Module):
         temperature: float = 1.0,
         rng: np.random.Generator | None = None,
         greedy: bool = False,
-        use_cache: bool = True,
         samples_per_source: int = 1,
         min_new_tokens: int = 0,
     ) -> list[list[int]]:
@@ -464,11 +450,10 @@ class Seq2SeqTransformer(Module):
 
         ``samples_per_source`` decodes that many sequences per source row
         from ONE encoder pass (outputs are row-major: all samples of source
-        0, then source 1, ...).  ``use_cache=False`` re-runs the full
-        decoder every step — the slow reference path kept as the
-        equivalence oracle; both paths produce byte-identical sequences
-        under a shared RNG.  ``min_new_tokens`` blocks EOS for the first
-        ``n`` steps (used by benchmarks to pin the decoded length).
+        0, then source 1, ...).  Each step feeds only the newest token
+        through :meth:`decode_step` against the KV cache.
+        ``min_new_tokens`` blocks EOS for the first ``n`` steps (used by
+        benchmarks to pin the decoded length).
         """
         rng = rng or self.rng
         if samples_per_source < 1:
@@ -491,23 +476,12 @@ class Seq2SeqTransformer(Module):
                 buffer[:, 0] = self.BOS
                 filled = 1
                 finished = np.zeros(batch, dtype=bool)
-                cache = (
-                    self.start_decode_cache(memory, memory_mask)
-                    if use_cache
-                    else None
-                )
+                cache = self.start_decode_cache(memory, memory_mask)
                 self.decode_stats["generate_calls"] += 1
-                token_key = "cached_tokens" if use_cache else "uncached_tokens"
                 for step in range(limit):
-                    if cache is not None:
-                        last = self.decode_step(
-                            buffer[:, filled - 1 : filled], cache
-                        ).copy()
-                    else:
-                        logits = self.decode(
-                            buffer[:, :filled], memory, memory_mask
-                        )
-                        last = logits.data[:, -1, :].copy()  # (batch, vocab)
+                    last = self.decode_step(
+                        buffer[:, filled - 1 : filled], cache
+                    ).copy()
                     # Never emit PAD or BOS mid-sequence.
                     last[:, self.PAD] = -np.inf
                     last[:, self.BOS] = -np.inf
@@ -519,7 +493,7 @@ class Seq2SeqTransformer(Module):
                     next_ids = np.where(finished, self.PAD, next_ids)
                     buffer[:, filled] = next_ids
                     filled += 1
-                    self.decode_stats[token_key] += batch
+                    self.decode_stats["cached_tokens"] += batch
                     finished |= next_ids == self.EOS
                     if finished.all():
                         break
@@ -538,156 +512,3 @@ class Seq2SeqTransformer(Module):
                 tokens.append(int(token))
             outputs.append(tokens)
         return outputs
-
-    def generate_beam(
-        self,
-        source_ids: np.ndarray,
-        *,
-        beam_width: int = 4,
-        max_new_tokens: int | None = None,
-        length_penalty: float = 0.7,
-        use_cache: bool = True,
-    ) -> list[list[int]]:
-        """Beam-search decode; returns the best sequence per source row.
-
-        SERD's inference prefers sampling (diverse candidates, Section VI),
-        but beam search is the standard decoding for seq2seq quality checks
-        and is exposed for library completeness.  Scores are length-
-        normalized by ``len ** length_penalty``.
-
-        The default path runs all live beams as ONE batched, KV-cached
-        decode step and re-gathers the cache rows of the surviving beams;
-        ``use_cache=False`` keeps the one-full-decode-per-beam-per-step
-        reference used by the equivalence tests.
-        """
-        if beam_width < 1:
-            raise ValueError(f"beam width must be >= 1, got {beam_width}")
-        limit = max_new_tokens or (self.config.max_length - 1)
-        was_training = self.training
-        self.eval()
-        outputs: list[list[int]] = []
-        search = self._beam_search_cached if use_cache else self._beam_search_reference
-        try:
-            with no_grad():
-                for row in np.atleast_2d(source_ids):
-                    memory, memory_mask = self.encode(row[None, :])
-                    best_tokens = search(
-                        memory, memory_mask, beam_width, limit, length_penalty
-                    )
-                    cleaned: list[int] = []
-                    for token in best_tokens[1:]:
-                        if token in (self.EOS, self.PAD):
-                            break
-                        cleaned.append(token)
-                    outputs.append(cleaned)
-        finally:
-            if was_training:
-                self.train()
-        return outputs
-
-    def _beam_top_expansions(
-        self,
-        beams: list[tuple[list[int], float, bool]],
-        log_prob_rows: dict[int, np.ndarray],
-        beam_width: int,
-        length_penalty: float,
-    ) -> list[tuple[list[int], float, bool, int | None]]:
-        """Expand + rank beams; shared by the cached and reference paths.
-
-        ``log_prob_rows`` maps beam index -> its next-token log-probs.
-        Returned tuples carry the *parent beam index* (None for carried-over
-        finished beams) so the cached path can re-gather K/V rows.
-        """
-        expansions: list[tuple[list[int], float, bool, int | None]] = []
-        for index, (tokens, score, finished) in enumerate(beams):
-            if finished:
-                expansions.append((tokens, score, True, None))
-                continue
-            log_probs = log_prob_rows[index]
-            top = np.argsort(log_probs)[-beam_width:]
-            for token in top:
-                expansions.append((
-                    tokens + [int(token)],
-                    score + float(log_probs[token]),
-                    int(token) == self.EOS,
-                    index,
-                ))
-        expansions.sort(
-            key=lambda b: b[1] / (len(b[0]) ** length_penalty),
-            reverse=True,
-        )
-        return expansions[:beam_width]
-
-    def _beam_search_cached(
-        self,
-        memory: Tensor,
-        memory_mask: np.ndarray,
-        beam_width: int,
-        limit: int,
-        length_penalty: float,
-    ) -> list[int]:
-        """One batched decode step per iteration over all live beams."""
-        beams: list[tuple[list[int], float, bool]] = [([self.BOS], 0.0, False)]
-        cache = self.start_decode_cache(memory, memory_mask)
-        # cache self-attention rows correspond, in order, to `active`.
-        active = [0]
-        for _ in range(limit):
-            if not active:
-                break
-            fed = np.asarray(
-                [[beams[i][0][-1]] for i in active], dtype=np.int64
-            )
-            logits = self.decode_step(fed, cache)
-            logits[:, self.PAD] = -np.inf
-            logits[:, self.BOS] = -np.inf
-            log_prob_rows = {
-                beam_index: _log_probs(logits[row : row + 1])[0]
-                for row, beam_index in enumerate(active)
-            }
-            # Map each surviving beam to the cache row of its parent.
-            row_of_beam = {beam_index: row for row, beam_index in enumerate(active)}
-            selected = self._beam_top_expansions(
-                beams, log_prob_rows, beam_width, length_penalty
-            )
-            beams = [(tokens, score, fin) for tokens, score, fin, _ in selected]
-            survivors = [
-                (position, row_of_beam[parent])
-                for position, (_, _, fin, parent) in enumerate(selected)
-                if not fin and parent is not None
-            ]
-            active = [position for position, _ in survivors]
-            if survivors:
-                cache.reorder(np.asarray([row for _, row in survivors]))
-            if all(finished for _, _, finished in beams):
-                break
-        return beams[0][0]
-
-    def _beam_search_reference(
-        self,
-        memory: Tensor,
-        memory_mask: np.ndarray,
-        beam_width: int,
-        limit: int,
-        length_penalty: float,
-    ) -> list[int]:
-        """The uncached oracle: full decoder re-run per beam per step."""
-        beams: list[tuple[list[int], float, bool]] = [([self.BOS], 0.0, False)]
-        for _ in range(limit):
-            if all(finished for _, _, finished in beams):
-                break
-            log_prob_rows: dict[int, np.ndarray] = {}
-            for index, (tokens, _, finished) in enumerate(beams):
-                if finished:
-                    continue
-                logits = self.decode(
-                    np.asarray([tokens], dtype=np.int64), memory, memory_mask
-                ).data[0, -1].copy()
-                # Never emit PAD or BOS mid-sequence.
-                logits[self.PAD] = -np.inf
-                logits[self.BOS] = -np.inf
-                log_prob_rows[index] = _log_probs(logits[None, :])[0]
-            selected = self._beam_top_expansions(
-                beams, log_prob_rows, beam_width, length_penalty
-            )
-            beams = [(tokens, score, fin) for tokens, score, fin, _ in selected]
-        return beams[0][0]

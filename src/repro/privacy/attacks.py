@@ -26,9 +26,8 @@ Tabular Synthetic Data" and the SafeSynthDP ε-sweep methodology
   attack (a synthetic record "singles out" a real record when it is
   ``threshold``-similar to exactly one).  Scored through the PR 1
   similarity kernels (:func:`repro.similarity.kernels.iter_cross_blocks`)
-  so the cross product streams in bounded-memory tiles; the scalar
-  reference path (``use_kernels=False``) is bit-identical and exists for
-  equivalence tests and the benchmark baseline.
+  so the cross product streams in bounded-memory tiles, bit-identical to
+  a one-pair-at-a-time loop over :meth:`SimilarityModel.vector`.
 
 Every attack is seeded: randomness derives from
 ``default_rng([seed, _MIA_STREAM, k])`` substreams (the discipline of
@@ -295,6 +294,36 @@ class NearestRecordAudit:
     singling_out_count: int
     singling_threshold: float
 
+    @classmethod
+    def from_similarities(
+        cls,
+        top1: np.ndarray,
+        top2: np.ndarray,
+        n_real: int,
+        singling_threshold: float,
+    ) -> "NearestRecordAudit":
+        """Summarize each synthetic record's top-2 real-record similarity."""
+        d1 = 1.0 - top1
+        d2 = 1.0 - top2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nndr = np.clip(d1 / np.maximum(d2, 1e-12), 0.0, 1.0)
+        singled = (top1 >= singling_threshold) & (top2 < singling_threshold)
+        return cls(
+            n_synthetic=len(top1),
+            n_real=n_real,
+            pairs_scored=len(top1) * n_real,
+            dcr_mean=float(np.mean(d1)),
+            dcr_min=float(np.min(d1)),
+            dcr_p05=float(np.quantile(d1, 0.05)),
+            dcr_median=float(np.median(d1)),
+            nndr_median=float(np.median(nndr)),
+            nndr_p05=float(np.quantile(nndr, 0.05)),
+            exact_copies=int(np.sum(d1 <= _EXACT_DISTANCE)),
+            singling_out_rate=float(np.mean(singled)),
+            singling_out_count=int(np.sum(singled)),
+            singling_threshold=float(singling_threshold),
+        )
+
     def to_dict(self) -> dict:
         return {
             "n_synthetic": self.n_synthetic,
@@ -327,8 +356,8 @@ def _top2_similarities_kernel(
     Streams the cross product through :func:`kernels.iter_cross_blocks`
     row tiles, so peak memory is ``O(max_cells * l)`` regardless of table
     sizes.  Entity similarity is the column mean of the kernel tensor —
-    the same quantity the scalar path averages, in the same order, so the
-    two paths agree bit-for-bit.
+    the same quantity :meth:`SimilarityModel.vector` averages, in the same
+    order, so a one-pair-at-a-time loop agrees bit-for-bit.
     """
     profile_syn = model.profile_entities(list(synthetic))
     profile_real = model.profile_entities(list(real))
@@ -347,30 +376,6 @@ def _top2_similarities_kernel(
     return top1, top2
 
 
-def _top2_similarities_scalar(
-    model: SimilarityModel,
-    synthetic: Sequence[Entity],
-    real: Sequence[Entity],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference all-pairs loop (one scalar similarity vector per pair)."""
-    top1 = np.full(len(synthetic), -np.inf)
-    top2 = np.full(len(synthetic), -np.inf)
-    for i, candidate in enumerate(synthetic):
-        sims = np.array(
-            [
-                float(np.mean(model.vector(candidate, other)))
-                for other in real
-            ]
-        )
-        if sims.size == 1:
-            top1[i] = sims[0]
-            continue
-        part = np.partition(sims, sims.size - 2)
-        top1[i] = part[-1]
-        top2[i] = part[-2]
-    return top1, top2
-
-
 def nearest_record_battery(
     model: SimilarityModel,
     synthetic: Sequence[Entity],
@@ -378,7 +383,6 @@ def nearest_record_battery(
     *,
     singling_threshold: float = 0.9,
     max_cells: int = 250_000,
-    use_kernels: bool = True,
 ) -> NearestRecordAudit:
     """DCR + NNDR + singling-out in one pass over the cross product.
 
@@ -395,29 +399,8 @@ def nearest_record_battery(
     real = list(real)
     if not synthetic or not real:
         raise ValueError("both entity collections must be non-empty")
-    if use_kernels:
-        top1, top2 = _top2_similarities_kernel(model, synthetic, real, max_cells)
-    else:
-        top1, top2 = _top2_similarities_scalar(model, synthetic, real)
+    top1, top2 = _top2_similarities_kernel(model, synthetic, real, max_cells)
     count_attack_event("dcr_pairs_scored", len(synthetic) * len(real))
-
-    d1 = 1.0 - top1
-    d2 = 1.0 - top2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nndr = np.clip(d1 / np.maximum(d2, 1e-12), 0.0, 1.0)
-    singled = (top1 >= singling_threshold) & (top2 < singling_threshold)
-    return NearestRecordAudit(
-        n_synthetic=len(synthetic),
-        n_real=len(real),
-        pairs_scored=len(synthetic) * len(real),
-        dcr_mean=float(np.mean(d1)),
-        dcr_min=float(np.min(d1)),
-        dcr_p05=float(np.quantile(d1, 0.05)),
-        dcr_median=float(np.median(d1)),
-        nndr_median=float(np.median(nndr)),
-        nndr_p05=float(np.quantile(nndr, 0.05)),
-        exact_copies=int(np.sum(d1 <= _EXACT_DISTANCE)),
-        singling_out_rate=float(np.mean(singled)),
-        singling_out_count=int(np.sum(singled)),
-        singling_threshold=float(singling_threshold),
+    return NearestRecordAudit.from_similarities(
+        top1, top2, len(real), singling_threshold
     )

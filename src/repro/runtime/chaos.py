@@ -245,7 +245,7 @@ def run_nn_probe(job_seed: int, at_calls: tuple[int, ...]) -> dict:
     def decode():
         return model.generate(
             src, max_new_tokens=12, min_new_tokens=12,
-            rng=np.random.default_rng(job_seed + 2), use_cache=True,
+            rng=np.random.default_rng(job_seed + 2),
         )
 
     result = {"fired": False, "failures": []}

@@ -27,11 +27,8 @@ per-request cost is one profile build plus a sparse matmul, not
 vocabulary mutates on first sight of new grams), while different models
 score concurrently under the threading server.
 
-``label``/``score`` bodies also accept ``"generation_cache": true|false``
-— an operator switch that flips the loaded model's transformer text
-backends between KV-cached incremental decoding and the uncached fallback
-decode path at runtime, without redeploying or refitting; per-path token
-counters appear under ``generation`` in ``GET /stats``.
+Decode counters of loaded models' transformer text backends appear under
+``generation`` in ``GET /stats``.
 
 Overload behavior (see :mod:`repro.service.admission`): every route except
 ``/health`` passes through admission control — cheap ``GET`` traffic and
@@ -138,32 +135,9 @@ class LoadedModel:
         self.entry = entry
         self.lock = threading.Lock()
 
-    def set_generation_cache(self, enabled: bool) -> int:
-        """Flip KV-cached decoding on this model's transformer text backends.
-
-        Returns how many backends accepted the switch (0 for rule-backed
-        models) — operators use this to flip to the uncached fallback path
-        without redeploying or refitting.
-        """
-        toggled = 0
-        backends = getattr(self.synthesizer, "_text_backends", {}) or {}
-        with self.lock:
-            for backend in backends.values():
-                switch = getattr(backend, "set_generation_cache", None)
-                if switch is not None:
-                    switch(bool(enabled))
-                    toggled += 1
-        return toggled
-
     def generation_stats(self) -> dict | None:
-        """Aggregate decode-cache telemetry across this model's backends."""
-        totals = {
-            "generate_calls": 0,
-            "cached_tokens": 0,
-            "uncached_tokens": 0,
-            "cache_enabled_backends": 0,
-            "backends": 0,
-        }
+        """Aggregate decode telemetry across this model's backends."""
+        totals = {"generate_calls": 0, "cached_tokens": 0, "backends": 0}
         backends = getattr(self.synthesizer, "_text_backends", {}) or {}
         seen = False
         for backend in backends.values():
@@ -173,9 +147,7 @@ class LoadedModel:
             seen = True
             stats = stats_fn()
             totals["backends"] += 1
-            if stats.get("cache_enabled"):
-                totals["cache_enabled_backends"] += 1
-            for key in ("generate_calls", "cached_tokens", "uncached_tokens"):
+            for key in ("generate_calls", "cached_tokens"):
                 totals[key] += int(stats.get(key, 0))
         return totals if seen else None
 
@@ -340,14 +312,8 @@ class ServiceContext:
         return None
 
     def _generation_snapshot(self) -> dict:
-        """Decode-cache counters summed over every loaded model."""
-        totals = {
-            "generate_calls": 0,
-            "cached_tokens": 0,
-            "uncached_tokens": 0,
-            "cache_enabled_backends": 0,
-            "backends": 0,
-        }
+        """Decode counters summed over every loaded model."""
+        totals = {"generate_calls": 0, "cached_tokens": 0, "backends": 0}
         with self._models_lock:
             loaded = list(self._models.values())
         for model in loaded:
@@ -726,16 +692,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if not isinstance(pairs, list) or not pairs:
             raise ApiError(400, "'pairs' must be a non-empty array of pairs")
         loaded = self.context.model(model_name, payload.get("version"))
-        if "generation_cache" in payload:
-            flag = payload["generation_cache"]
-            if not isinstance(flag, bool):
-                raise ApiError(400, "'generation_cache' must be a boolean")
-            toggled = loaded.set_generation_cache(flag)
-            self.context.metrics.count("generation_cache.toggles")
-            if not flag:
-                self.context.metrics.count("generation_cache.disables")
-            if toggled == 0:
-                self.context.metrics.count("generation_cache.no_backend")
         # The batch matmul is the expensive part; give up before it rather
         # than burn compute on an answer the client stopped waiting for.
         self._check_deadline()

@@ -5,19 +5,15 @@ column (Section VII, Settings).  Example 2 computes e.g.
 ``3_gram_jaccard("SIGMOD Conference", "International Conference on Management
 of Data") = 0.16``.
 
-Tokenization is memoized behind the :mod:`repro.distributions.fastpath`
-switch: the S2 loop scores every candidate string against the same
-reference pools, re-deriving the same gram sets millions of times per run.
-``qgrams`` is a pure function, so the cache is observationally invisible;
-disabling the fast path restores the seed's tokenize-per-call behaviour
-for baseline measurements.
+Tokenization is memoized: the S2 loop scores every candidate string
+against the same reference pools, re-deriving the same gram sets millions
+of times per run.  ``qgrams`` is a pure function, so the cache is
+observationally invisible.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
-
-from repro.distributions import fastpath
 
 _GRAM_CACHE: dict[tuple[int, str], frozenset[str]] = {}
 # Bound memory on pathological workloads (every string unique forever):
@@ -49,8 +45,6 @@ def qgrams(text: str, q: int = 3) -> frozenset[str]:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if not fastpath.enabled():
-        return _tokenize(text, q)
     key = (q, text)
     grams = _GRAM_CACHE.get(key)
     if grams is None:

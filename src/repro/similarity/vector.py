@@ -7,10 +7,11 @@ objects everything downstream (GMMs, matchers, SERD itself) consumes.
 Two execution paths exist.  The scalar path (:meth:`SimilarityModel.vector`)
 computes one pair at a time and is the *reference implementation*.  The batch
 entry points (:meth:`vectors`, :meth:`one_vs_many`, :meth:`pairs_for_ids`)
-route through :mod:`repro.similarity.kernels` — precomputed column profiles
-scored with sparse matrix products — and reproduce the scalar results
-bit-for-bit (property-tested) while being orders of magnitude faster on
-large pair sets.
+route calls above the ``KERNEL_MIN_*`` sizes through
+:mod:`repro.similarity.kernels` — precomputed column profiles scored with
+sparse matrix products — and reproduce the scalar results bit-for-bit
+(property-tested) while being orders of magnitude faster on large pair
+sets.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.distributions import fastpath
 from repro.schema.entity import Entity, Relation
 from repro.schema.types import AttributeType, Schema
 from repro.similarity import kernels
@@ -48,11 +48,6 @@ class SimilarityModel:
         pairs are measured identically, as the paper's formula requires.
     qgram:
         q for string columns' q-gram Jaccard (paper default: 3).
-    use_kernels:
-        Route batch computations through the vectorized kernel layer
-        (:mod:`repro.similarity.kernels`).  ``False`` falls back to the
-        scalar reference path everywhere — useful for benchmarking and for
-        verifying kernel/scalar equivalence.
     """
 
     def __init__(
@@ -60,12 +55,9 @@ class SimilarityModel:
         schema: Schema,
         ranges: dict[str, tuple[float, float]] | None = None,
         qgram: int = 3,
-        *,
-        use_kernels: bool = True,
     ):
         self.schema = schema
         self.qgram = qgram
-        self.use_kernels = use_kernels
         self.ranges: dict[str, tuple[float, float]] = dict(ranges or {})
         for attr in schema:
             if attr.attr_type in (AttributeType.NUMERIC, AttributeType.DATE):
@@ -87,8 +79,6 @@ class SimilarityModel:
         table_a: Relation,
         table_b: Relation,
         qgram: int = 3,
-        *,
-        use_kernels: bool = True,
     ) -> "SimilarityModel":
         """Build a model whose ranges span both relations' observed values.
 
@@ -117,7 +107,7 @@ class SimilarityModel:
             if not lows:
                 raise ValueError(f"column {attr.name!r} is empty in both relations")
             ranges[attr.name] = (min(lows), max(highs))
-        return cls(schema, ranges, qgram=qgram, use_kernels=use_kernels)
+        return cls(schema, ranges, qgram=qgram)
 
     # ------------------------------------------------------------------
     # Per-column and per-pair similarity (scalar reference path)
@@ -178,22 +168,15 @@ class SimilarityModel:
         built) is *extended* over the appended tail — O(new rows) — rather
         than rebuilt from scratch; a full build happens only on first
         profiling.  ``profile_builds`` / ``profile_extensions`` count the
-        two paths.  Extension rides the
-        :mod:`repro.distributions.fastpath` switch (it produces the same
-        profile as a rebuild — property-tested — so the switch only moves
-        cost): with the fast path disabled, a stale profile is rebuilt in
-        full, the seed's cost model for benchmark baselines.
+        two paths; an extension produces the same profile as a rebuild
+        (property-tested).
         """
         cache = relation.profile_cache
         key = (self._vocab, self.qgram)
         profile = cache.get(key)
         if profile is not None and profile.n == len(relation):
             return profile
-        if (
-            profile is not None
-            and profile.n < len(relation)
-            and fastpath.enabled()
-        ):
+        if profile is not None and profile.n < len(relation):
             profile = kernels.extend_profile(
                 profile, relation.entities[profile.n :]
             )
@@ -228,7 +211,7 @@ class SimilarityModel:
         pair_list = pairs if isinstance(pairs, list) else list(pairs)
         if not pair_list:
             return np.empty((0, len(self.schema)), dtype=np.float64)
-        if not self.use_kernels or len(pair_list) < KERNEL_MIN_VECTORS:
+        if len(pair_list) < KERNEL_MIN_VECTORS:
             return self.vectors_scalar(pair_list)
         # Profile each side's *distinct* entities once, then score the pair
         # list as a row gather — repeated entities (one-vs-many shapes, star
@@ -261,7 +244,7 @@ class SimilarityModel:
         others = list(others)
         if not others:
             return np.empty((0, len(self.schema)), dtype=np.float64)
-        if not self.use_kernels or len(others) < KERNEL_MIN_ONE_VS_MANY:
+        if len(others) < KERNEL_MIN_ONE_VS_MANY:
             return self.vectors_scalar((entity, other) for other in others)
         return kernels.one_vs_many(self.profile_entities(others), entity)
 
@@ -280,7 +263,7 @@ class SimilarityModel:
         pair_list = list(id_pairs)
         if not pair_list:
             return np.empty((0, len(self.schema)), dtype=np.float64)
-        if not self.use_kernels or len(pair_list) < KERNEL_MIN_PAIRS_FOR_IDS:
+        if len(pair_list) < KERNEL_MIN_PAIRS_FOR_IDS:
             return self.vectors_scalar(
                 (table_a[a], table_b[b]) for a, b in pair_list
             )

@@ -22,7 +22,7 @@ from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import Seq2SeqTransformer, TransformerConfig
 from repro.privacy.accountant import RDPAccountant
-from repro.privacy.dpsgd import DPSGDConfig, dp_sgd_step, dp_sgd_step_vectorized
+from repro.privacy.dpsgd import DPSGDConfig, dp_sgd_step_vectorized
 from repro.runtime import faults
 from repro.runtime.guards import TrainingGuard
 from repro.similarity.ngram import jaccard, qgram_jaccard, qgrams
@@ -53,15 +53,6 @@ class TransformerTextSynthesizerConfig:
     dropout: float = 0.1
     learning_rate: float = 3e-3
     dp: DPSGDConfig | None = None
-    # Train DP buckets with ONE batched forward/backward per step (vectorized
-    # per-sample gradients) instead of the per-example loop; both produce the
-    # same clipped-and-noised update (see tests/test_privacy_grad_sample.py).
-    dp_vectorized: bool = True
-    # KV-cached incremental decoding for candidate generation.  The initial
-    # value seeds a *mutable* runtime switch on the synthesizer
-    # (set_generation_cache) so operators can flip to the uncached fallback
-    # without refitting or redeploying.
-    generation_cache: bool = True
     temperature: float = 0.8
     # Numeric-guard knobs: non-finite training steps are rolled back with
     # the learning rate decayed; after guard_max_retries rollbacks the
@@ -94,21 +85,15 @@ class TransformerTextSynthesizer:
         self.accountant = RDPAccountant() if self.config.dp is not None else None
         self._background: list[str] = []
         self.health: dict[str, int] = {"nan_events": 0, "rollbacks": 0}
-        self.generation_cache: bool = self.config.generation_cache
-
-    def set_generation_cache(self, enabled: bool) -> None:
-        """Flip KV-cached decoding on/off at runtime (no refit needed)."""
-        self.generation_cache = bool(enabled)
 
     def generation_stats(self) -> dict:
         """Aggregate decode telemetry across bucket models (for /stats)."""
-        totals = {"generate_calls": 0, "cached_tokens": 0, "uncached_tokens": 0}
+        totals = {"generate_calls": 0, "cached_tokens": 0}
         for record in self._models:
             if record is None:
                 continue
             for key in totals:
                 totals[key] += record.model.decode_stats.get(key, 0)
-        totals["cache_enabled"] = bool(self.generation_cache)
         return totals
 
     @property
@@ -258,38 +243,22 @@ class TransformerTextSynthesizer:
         if self.config.dp is not None:
             vocab = self._vocab
 
-            if self.config.dp_vectorized:
+            # ONE batched forward/backward per step (vectorized per-sample
+            # gradients); tests/test_privacy_grad_sample.py pins its update
+            # to the per-example loop of dp_sgd_step.
+            def batch_loss(module, batch):
+                sources = vocab.pad_batch([b[0] for b in batch])
+                targets_in = vocab.pad_batch([b[1] for b in batch])
+                targets_out = vocab.pad_batch([b[2] for b in batch])
+                logits = module(sources, targets_in)
+                return cross_entropy_per_example(
+                    logits, targets_out, ignore_index=0
+                )
 
-                def batch_loss(module, batch):
-                    sources = vocab.pad_batch([b[0] for b in batch])
-                    targets_in = vocab.pad_batch([b[1] for b in batch])
-                    targets_out = vocab.pad_batch([b[2] for b in batch])
-                    logits = module(sources, targets_in)
-                    return cross_entropy_per_example(
-                        logits, targets_out, ignore_index=0
-                    )
-
-                def dp_step(batch):
-                    return dp_sgd_step_vectorized(
-                        model, batch, batch_loss, self.config.dp, rng
-                    )
-
-            else:
-
-                def per_example_loss(module, example):
-                    src, tgt_in, tgt_out = example
-                    logits = module(
-                        np.asarray([src], dtype=np.int64),
-                        np.asarray([tgt_in], dtype=np.int64),
-                    )
-                    return cross_entropy(
-                        logits, np.asarray([tgt_out]), ignore_index=0
-                    )
-
-                def dp_step(batch):
-                    return dp_sgd_step(
-                        model, batch, per_example_loss, self.config.dp, rng
-                    )
+            def dp_step(batch):
+                return dp_sgd_step_vectorized(
+                    model, batch, batch_loss, self.config.dp, rng
+                )
 
             guard = TrainingGuard(
                 (model,), (),
@@ -386,16 +355,14 @@ class TransformerTextSynthesizer:
         assert self._vocab is not None
         src_ids = self._vocab.encode(source[: self.config.max_length], add_eos=True)
         # One generate call draws all k candidates: the encoder runs ONCE on
-        # the single source row and the decoder fans the memory out across
-        # the candidate samples (KV-cached unless the operator flipped the
-        # runtime switch to the uncached fallback).
+        # the single source row and the KV-cached decoder fans the memory
+        # out across the candidate samples.
         generated = record.model.generate(
             np.asarray([src_ids], dtype=np.int64),
             temperature=self.config.temperature,
             rng=rng,
             max_new_tokens=self.config.max_length,
             samples_per_source=self.config.n_candidates,
-            use_cache=self.generation_cache,
         )
         scorer = self._variant_scorer(source)
         best_text, best_gap, best_sim = None, np.inf, 0.0

@@ -47,3 +47,27 @@ class TestWithoutRejection:
 
         config = serd_minus_config()
         assert not config.reject_entities
+
+
+def parent_format(payload: dict, flag: bool) -> dict:
+    """A config payload as written before the path switches were removed."""
+    payload = dict(payload, use_similarity_kernels=flag)
+    payload["transformer"] = dict(
+        payload["transformer"], dp_vectorized=flag, generation_cache=flag
+    )
+    return payload
+
+
+class TestSerialization:
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_parent_payload_loads(self, flag):
+        """Manifests written with the retired switch keys still load."""
+        config = SERDConfig(seed=3)
+        loaded = SERDConfig.from_dict(parent_format(config.to_dict(), flag))
+        assert loaded == config
+        assert loaded.to_dict() == config.to_dict()
+
+    def test_unknown_key_still_rejected(self):
+        payload = dict(SERDConfig().to_dict(), not_a_field=1)
+        with pytest.raises(TypeError):
+            SERDConfig.from_dict(payload)

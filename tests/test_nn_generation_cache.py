@@ -1,20 +1,21 @@
 """Equivalence tests: KV-cached decoding against the uncached oracle.
 
-The cached path feeds one token per step and replays append-only K/V; the
-uncached path (``use_cache=False``) re-runs the full decoder over the whole
-prefix.  Both must emit byte-identical token sequences under a shared RNG —
-greedy, sampled, beam, and fanned-out (``samples_per_source``) decoding.
+``generate`` feeds one token per step and replays append-only K/V; the
+oracle (:mod:`tests.reference.decode`) re-runs the full decoder over the
+whole prefix.  Both must emit byte-identical token sequences under a shared
+RNG — greedy, sampled, and fanned-out (``samples_per_source``) decoding.
 """
 
 import numpy as np
 import pytest
 
 from repro.nn.transformer import (
-    DecodeCache,
     Seq2SeqTransformer,
     TransformerConfig,
     _sample_next_tokens,
 )
+
+from tests.reference import decode as reference
 
 
 @pytest.fixture
@@ -33,8 +34,8 @@ def model(config, rng):
 class TestGenerateEquivalence:
     def test_greedy_byte_identical(self, model, rng):
         src = rng.integers(4, 22, size=(5, 8))
-        cached = model.generate(src, greedy=True, use_cache=True)
-        uncached = model.generate(src, greedy=True, use_cache=False)
+        cached = model.generate(src, greedy=True)
+        uncached = reference.generate(model, src, greedy=True)
         assert cached == uncached
 
     def test_sampled_byte_identical(self, model, rng):
@@ -42,11 +43,9 @@ class TestGenerateEquivalence:
         for seed in (0, 7, 99):
             first = model.generate(
                 src, temperature=0.9, rng=np.random.default_rng(seed),
-                use_cache=True,
             )
-            second = model.generate(
-                src, temperature=0.9, rng=np.random.default_rng(seed),
-                use_cache=False,
+            second = reference.generate(
+                model, src, temperature=0.9, rng=np.random.default_rng(seed),
             )
             assert first == second
 
@@ -55,11 +54,11 @@ class TestGenerateEquivalence:
         consuming RNG alongside live rows, identically in both paths."""
         src = rng.integers(4, 22, size=(8, 5))
         first = model.generate(
-            src, temperature=1.3, rng=np.random.default_rng(1), use_cache=True,
+            src, temperature=1.3, rng=np.random.default_rng(1),
             max_new_tokens=20,
         )
-        second = model.generate(
-            src, temperature=1.3, rng=np.random.default_rng(1), use_cache=False,
+        second = reference.generate(
+            model, src, temperature=1.3, rng=np.random.default_rng(1),
             max_new_tokens=20,
         )
         assert first == second
@@ -68,11 +67,11 @@ class TestGenerateEquivalence:
         src = rng.integers(4, 22, size=(2, 6))
         first = model.generate(
             src, temperature=0.8, rng=np.random.default_rng(5),
-            samples_per_source=4, use_cache=True,
+            samples_per_source=4,
         )
-        second = model.generate(
-            src, temperature=0.8, rng=np.random.default_rng(5),
-            samples_per_source=4, use_cache=False,
+        second = reference.generate(
+            model, src, temperature=0.8, rng=np.random.default_rng(5),
+            samples_per_source=4,
         )
         assert len(first) == 8
         assert first == second
@@ -101,29 +100,12 @@ class TestGenerateEquivalence:
     def test_decode_stats_accumulate(self, config, rng):
         fresh = Seq2SeqTransformer(config, rng)
         src = rng.integers(4, 22, size=(3, 5))
-        fresh.generate(src, greedy=True, use_cache=True, max_new_tokens=4)
-        fresh.generate(src, greedy=True, use_cache=False, max_new_tokens=4)
+        fresh.generate(src, greedy=True, max_new_tokens=4)
+        once = fresh.decode_stats["cached_tokens"]
+        fresh.generate(src, greedy=True, max_new_tokens=4)
         stats = fresh.decode_stats
         assert stats["generate_calls"] == 2
-        assert stats["cached_tokens"] > 0
-        assert stats["uncached_tokens"] > 0
-
-
-class TestBeamEquivalence:
-    def test_beam_byte_identical(self, model, rng):
-        src = rng.integers(4, 22, size=(3, 6))
-        for width in (1, 2, 4):
-            cached = model.generate_beam(
-                src, beam_width=width, max_new_tokens=10, use_cache=True
-            )
-            uncached = model.generate_beam(
-                src, beam_width=width, max_new_tokens=10, use_cache=False
-            )
-            assert cached == uncached
-
-    def test_beam_deterministic_cached(self, model, rng):
-        src = rng.integers(4, 22, size=(1, 5))
-        assert model.generate_beam(src) == model.generate_beam(src)
+        assert 0 < once < stats["cached_tokens"]
 
 
 class TestDecodeStep:
@@ -161,20 +143,6 @@ class TestDecodeStep:
         too_long = np.ones((1, model.config.max_length + 1), dtype=np.int64)
         with pytest.raises(ValueError, match="max_length"):
             model.decode_step(too_long, cache)
-
-    def test_cache_reorder_gathers_rows(self, model, rng):
-        src = rng.integers(4, 22, size=(3, 5))
-        memory, memory_mask = model.encode(src)
-        cache = model.start_decode_cache(memory, memory_mask)
-        tokens = np.full((3, 1), model.BOS, dtype=np.int64)
-        model.decode_step(tokens, cache)
-        before = [layer.self_k.copy() for layer in cache.layers]
-        cache.reorder(np.asarray([2, 0]))
-        for layer, original in zip(cache.layers, before):
-            assert layer.self_k.shape[0] == 2
-            np.testing.assert_array_equal(layer.self_k[0], original[2])
-            np.testing.assert_array_equal(layer.self_k[1], original[0])
-        assert isinstance(cache, DecodeCache)
 
 
 class TestVectorizedSampler:

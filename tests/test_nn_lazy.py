@@ -1,9 +1,8 @@
 """Lazy op-graph engine tests: equivalence oracle, cache, faults, guards.
 
-Eager mode is the bit-level equivalence oracle (the repo's fastpath-oracle
-pattern): every test here compares the lazy engine's output against the
-same computation run under ``lazy.disabled()`` and requires *bit* equality
-— ``np.array_equal(..., equal_nan=True)``, never ``allclose`` — including
+Eager mode is the bit-level equivalence oracle: every test here compares
+the lazy engine's output against the same computation run under
+``lazy.disabled()`` and requires *bit* equality — ``np.array_equal(..., equal_nan=True)``, never ``allclose`` — including
 NaN/Inf propagation and ``-0.0`` sign bits, so :class:`TrainingGuard`'s
 finiteness checks and rollback behavior cannot diverge between modes.
 """
@@ -14,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import importlib
+from functools import partial
 
 from repro.nn import lazy
 from repro.nn.lazy import graph as lgraph
@@ -23,6 +23,8 @@ from repro.nn.lazy import graph as lgraph
 realize_mod = importlib.import_module("repro.nn.lazy.realize")
 from repro.nn.lazy.cache import ScheduleCache
 from repro.nn.tensor import Tensor, concatenate
+
+from tests.reference import decode as reference
 
 
 def _eq(a: np.ndarray, b: np.ndarray) -> bool:
@@ -281,10 +283,12 @@ class TestDecodeEquivalence:
     def test_lazy_times_kv_cache_grid(self, model, rng):
         src = rng.integers(4, 22, size=(4, 6))
 
-        def decode(use_cache, seed):
-            return model.generate(
-                src, temperature=0.9, rng=np.random.default_rng(seed),
-                use_cache=use_cache,
+        def decode(cached, seed):
+            generate = model.generate if cached else partial(
+                reference.generate, model
+            )
+            return generate(
+                src, temperature=0.9, rng=np.random.default_rng(seed)
             )
 
         for seed in (0, 11):
@@ -303,11 +307,11 @@ class TestDecodeEquivalence:
         the realize-path schedule cache (encoder graphs) and the JIT
         trace cache (decode steps)."""
         src = rng.integers(4, 22, size=(4, 6))
-        model.generate(src, greedy=True, use_cache=True)  # compile pass
+        model.generate(src, greedy=True)  # compile pass
         before = lazy.cache_stats()
         traces_before = model._step_traces.stats()
         for _ in range(3):
-            model.generate(src, greedy=True, use_cache=True)
+            model.generate(src, greedy=True)
         after = lazy.cache_stats()
         traces_after = model._step_traces.stats()
         replays = after["hits"] - before["hits"]
@@ -330,7 +334,6 @@ class TestDecodeEquivalence:
         def decode(source, seed):
             return model.generate(
                 source, temperature=0.9, rng=np.random.default_rng(seed),
-                use_cache=True,
             )
 
         decode(src_a, 0)  # capture traces on the first batch

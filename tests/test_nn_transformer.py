@@ -98,36 +98,6 @@ class TestGenerate:
         assert model.training
 
 
-class TestBeamSearch:
-    def test_output_structure(self, model, rng):
-        src = rng.integers(3, 20, size=(2, 5))
-        outputs = model.generate_beam(src, beam_width=3, max_new_tokens=6)
-        assert len(outputs) == 2
-        for tokens in outputs:
-            assert len(tokens) <= 6
-            assert all(t not in (0, 1, 2) for t in tokens)
-
-    def test_deterministic(self, model, rng):
-        src = rng.integers(3, 20, size=(1, 4))
-        assert model.generate_beam(src) == model.generate_beam(src)
-
-    def test_beam_one_matches_greedy_prefix(self, model, rng):
-        """Width-1 beam search is greedy decoding (same argmax path)."""
-        src = rng.integers(3, 20, size=(1, 4))
-        beam = model.generate_beam(src, beam_width=1, max_new_tokens=5)
-        greedy = model.generate(src, greedy=True, max_new_tokens=5)
-        assert beam[0][: len(greedy[0])] == greedy[0][: len(beam[0])]
-
-    def test_invalid_width(self, model, rng):
-        with pytest.raises(ValueError):
-            model.generate_beam(rng.integers(3, 20, size=(1, 3)), beam_width=0)
-
-    def test_restores_training_mode(self, model, rng):
-        model.train()
-        model.generate_beam(rng.integers(3, 20, size=(1, 3)), max_new_tokens=2)
-        assert model.training
-
-
 class TestLearning:
     def test_copy_task_loss_decreases(self, config, rng):
         model = Seq2SeqTransformer(config, rng)

@@ -19,6 +19,8 @@ from repro.textgen.transformer_backend import (
     TransformerTextSynthesizerConfig,
 )
 
+from tests.reference import similarity as reference
+
 TINY_MIA_CONFIG = TransformerTextSynthesizerConfig(
     n_buckets=2,
     n_candidates=2,
@@ -130,9 +132,7 @@ class TestNearestRecordBattery:
         synthetic = list(tiny_restaurant.table_b)[:12]
         real = list(tiny_restaurant.table_a)
         kernel = nearest_record_battery(model, synthetic, real)
-        scalar = nearest_record_battery(
-            model, synthetic, real, use_kernels=False
-        )
+        scalar = reference.nearest_record_battery(model, synthetic, real)
         assert kernel == scalar  # frozen dataclass: field-exact equality
 
     def test_small_max_cells_changes_nothing(self, tiny_restaurant):

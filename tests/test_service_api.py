@@ -203,64 +203,56 @@ class TestStats:
 
 class TestGenerationCacheSwitch:
     def test_label_accepts_cache_switch(self, served, service_real):
-        """Rule-backed models accept the flag as a no-op (no_backend)."""
+        """The retired ``generation_cache`` field is ignored like any other
+        unknown key: every value answers 200 with the plain request's
+        labels and leaves the loaded model and the counters untouched."""
         client, _, context = served
         pairs = _record_pairs(service_real, count=2)
-        response = client._request(
-            "POST",
-            "/models/restaurant/label",
-            {"pairs": pairs, "generation_cache": False},
+        plain = client._request(
+            "POST", "/models/restaurant/label", {"pairs": pairs}
         )
-        assert len(response["labels"]) == 2
-        counters = context.stats()["counters"]
-        assert counters["generation_cache.toggles"] == 1
-        assert counters["generation_cache.disables"] == 1
-        assert counters["generation_cache.no_backend"] == 1
-
-    def test_non_boolean_switch_400(self, served, service_real):
-        client, _, _ = served
-        with pytest.raises(ServiceError) as excinfo:
-            client._request(
+        loaded = context.model("restaurant", None)
+        attributes = sorted(vars(loaded.synthesizer))
+        backends = dict(loaded.synthesizer._text_backends)
+        generation = context.stats()["generation"]
+        for flag in (False, True, "yes"):
+            response = client._request(
                 "POST",
                 "/models/restaurant/label",
-                {
-                    "pairs": _record_pairs(service_real, count=1),
-                    "generation_cache": "yes",
-                },
+                {"pairs": pairs, "generation_cache": flag},
             )
-        assert excinfo.value.status == 400
+            assert response["labels"] == plain["labels"]
+            assert response["match_probability"] == plain["match_probability"]
+        assert sorted(vars(loaded.synthesizer)) == attributes
+        assert loaded.synthesizer._text_backends == backends
+        stats = context.stats()
+        assert stats["generation"] == generation
+        assert not any("generation_cache" in key for key in stats["counters"])
 
     def test_stats_expose_generation_block(self, served, service_real):
         client, _, _ = served
         client.label("restaurant", _record_pairs(service_real, count=1))
         generation = client.stats()["generation"]
-        for key in (
-            "generate_calls",
-            "cached_tokens",
-            "uncached_tokens",
-            "cache_enabled_backends",
-            "backends",
-        ):
-            assert generation[key] == 0  # rule backend: nothing to count
+        assert set(generation) == {"generate_calls", "cached_tokens", "backends"}
+        for value in generation.values():
+            assert value == 0  # rule backend: nothing to count
 
     def test_switch_reaches_transformer_backends(self):
-        """LoadedModel flips every transformer text backend it can find."""
+        """LoadedModel still finds every transformer text backend for
+        ``/stats``, and neither it nor the backend keeps a decode switch."""
         from types import SimpleNamespace
 
         from repro.service.api import LoadedModel
         from repro.textgen.transformer_backend import TransformerTextSynthesizer
 
         backend = TransformerTextSynthesizer()
-        assert backend.generation_cache is True
         synthesizer = SimpleNamespace(_text_backends={"name": backend})
         loaded = LoadedModel(synthesizer, entry=None)
-        assert loaded.set_generation_cache(False) == 1
-        assert backend.generation_cache is False
         stats = loaded.generation_stats()
-        assert stats["backends"] == 1
-        assert stats["cache_enabled_backends"] == 0
-        assert loaded.set_generation_cache(True) == 1
-        assert backend.generation_cache is True
+        assert stats == {"generate_calls": 0, "cached_tokens": 0, "backends": 1}
+        assert not hasattr(loaded, "set_generation_cache")
+        assert not hasattr(backend, "set_generation_cache")
+        assert not hasattr(backend.config, "generation_cache")
 
 
 class TestShardedSubmission:

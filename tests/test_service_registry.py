@@ -1,12 +1,18 @@
 """Tests for the model registry (repro.service.registry)."""
 
+import shutil
+
 import pytest
 
 from repro.core import SERDConfig, SERDSynthesizer
 from repro.gan import TabularGANConfig
+from repro.runtime.checkpoint import StageCheckpointer
 from repro.runtime.health import RESUMED
+from repro.runtime.io import as_path, atomic_write_json, read_json
 from repro.service import ModelRegistry
 from repro.service.registry import config_hash, dataset_fingerprint
+
+from tests.test_core_config import parent_format
 
 
 def _small_config(**overrides):
@@ -95,6 +101,29 @@ class TestRegistryLoad:
         assert registry.latest("m").version == "v2"
         # Same data + config: identical fingerprints across versions.
         assert v1.meta["dataset"]["fingerprint"] == v2.meta["dataset"]["fingerprint"]
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_load_version_stored_with_retired_config_keys(
+        self, tmp_path, service_registry, flag
+    ):
+        """A version registered before the path switches were removed
+        (its manifest and meta.json carry the retired keys) still loads."""
+        root = tmp_path / "reg"
+        shutil.copytree(service_registry.root, root)
+        registry = ModelRegistry(root)
+        version_dir = as_path(registry.version_dir("restaurant", "v1"))
+        checkpointer = StageCheckpointer(version_dir / "model")
+        stored = checkpointer.get_meta("config")
+        checkpointer.set_meta("config", parent_format(stored, flag))
+        meta = read_json(version_dir / "meta.json")
+        meta["config"] = parent_format(meta["config"], flag)
+        atomic_write_json(version_dir / "meta.json", meta, indent=2)
+
+        synthesizer, entry = registry.load("restaurant")
+        assert "use_similarity_kernels" in entry.meta["config"]
+        assert synthesizer.config == SERDConfig.from_dict(stored)
+        for stage in ("s1", "text", "gan"):
+            assert synthesizer.health.stage(stage).status == RESUMED
 
     def test_str_and_path_roots_interchangeable(self, service_registry):
         as_str = ModelRegistry(str(service_registry.root))

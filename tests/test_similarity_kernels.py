@@ -5,7 +5,9 @@ import pytest
 
 from repro.schema import Entity, Relation, make_schema
 from repro.similarity import kernels
-from repro.similarity.vector import SimilarityModel
+from repro.similarity.vector import KERNEL_MIN_VECTORS, SimilarityModel
+
+from tests.reference import similarity as reference
 
 
 @pytest.fixture
@@ -169,10 +171,10 @@ class TestModelDispatch:
         want = model.vectors_scalar((table_a[x], table_b[y]) for x, y in ids)
         np.testing.assert_array_equal(got, want)
 
-    def test_scalar_fallback_flag(self, paper_tables):
+    def test_scalar_below_size_crossover(self, model, paper_tables):
         table_a, table_b = paper_tables
-        model = SimilarityModel.from_relations(table_a, table_b, use_kernels=False)
-        pairs = [(a, b) for a in table_a for b in table_b] * 12
+        pairs = [(a, b) for a in table_a for b in table_b]
+        assert len(pairs) < KERNEL_MIN_VECTORS  # the scalar dispatch
         np.testing.assert_array_equal(
             model.vectors(pairs), model.vectors_scalar(pairs)
         )
@@ -198,11 +200,9 @@ class TestLabelAllPairsPaths:
         known = set(dataset.matches[:5])
         kernel = label_all_pairs(
             dataset.table_a, dataset.table_b, known, o_real, model,
-            use_kernels=True,
         )
-        scalar = label_all_pairs(
+        scalar = reference.label_all_pairs(
             dataset.table_a, dataset.table_b, known, o_real, model,
-            use_kernels=False,
         )
         assert kernel == scalar
 
@@ -215,11 +215,11 @@ class TestLabelAllPairsPaths:
         known = set(dataset.matches[:5])
         kernel = label_all_pairs(
             dataset.table_a, dataset.table_b, known, o_real, model,
-            blocker=blocker, use_kernels=True,
+            blocker=blocker,
         )
-        scalar = label_all_pairs(
+        scalar = reference.label_all_pairs(
             dataset.table_a, dataset.table_b, known, o_real, model,
-            blocker=blocker, use_kernels=False,
+            blocker=blocker,
         )
         assert kernel == scalar
 
@@ -229,11 +229,11 @@ class TestLabelAllPairsPaths:
         dataset, model, o_real = fitted
         kernel = label_all_pairs(
             dataset.table_a, dataset.table_b, set(), o_real, model,
-            max_matches=7, use_kernels=True,
+            max_matches=7,
         )
-        scalar = label_all_pairs(
+        scalar = reference.label_all_pairs(
             dataset.table_a, dataset.table_b, set(), o_real, model,
-            max_matches=7, use_kernels=False,
+            max_matches=7,
         )
         assert kernel == scalar
 
