@@ -1,37 +1,32 @@
-"""Perf trajectory — NN engine: lazy graph JIT, KV-cached decoding, DP-SGD.
+"""Perf trajectory — NN engine: KV-cached decoding and vectorized DP-SGD.
 
 Times the engine's optimizations against their reference oracles and writes
 ``BENCH_nn_engine.json`` at the repo root:
 
 - **decode**: tokens/sec of KV-cached incremental decoding
   (``generate``) vs the full-prefix re-decode (:mod:`tests.reference.decode`)
-  at several pinned decode lengths, plus a lazy-vs-
-  eager A/B of the cached path — the lazy engine traces each decode step
-  into one fused multi-output plan (``repro.nn.lazy.jit``) and replays it
-  with zero graph re-dispatch;
+  at several pinned decode lengths;
 - **dp_sgd**: examples/sec of ``dp_sgd_step_vectorized`` (one batched
   forward/backward with per-sample gradients) vs the per-example
-  ``dp_sgd_step`` loop, plus the same lazy-vs-eager A/B of the vectorized
-  clip/sum pipeline;
+  ``dp_sgd_step`` loop;
 - **synthesize**: end-to-end S2 candidate throughput of
   ``TransformerTextSynthesizer.synthesize`` with cached vs full-prefix
-  decoding and lazy on/off;
-- **engine**: schedule-cache and trace-cache hit rates observed during the
-  run (the ``/stats`` ``nn_engine`` payload).
+  decoding.
 
 Every timed pair is also checked for equivalence (byte-identical sequences;
-parameter deltas to 1e-10 between loop and vectorized DP-SGD, bit-identical
-between lazy and eager) so the benchmark doubles as an oracle run.
+parameter deltas to 1e-10 between loop and vectorized DP-SGD) so the
+benchmark doubles as an oracle run.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_nn_engine.py            # full
-    PYTHONPATH=src python benchmarks/bench_nn_engine.py --smoke    # CI
+    PYTHONPATH=src python benchmarks/bench_nn_engine.py --smoke --out FILE
 
 ``--smoke`` shrinks every scale so the run finishes in well under a minute
-and exits nonzero if the cached path is not faster than uncached OR the
-lazy engine is not faster than eager on cached decode at the largest smoke
-length (perf regression gates, not statistical benchmarks).
+and exits nonzero if the cached path is not faster than uncached at the
+largest smoke length (a perf regression gate, not a statistical benchmark).
+A smoke run needs an explicit ``--out`` so it never replaces the full-mode
+``BENCH_nn_engine.json``.
 """
 
 from __future__ import annotations
@@ -65,19 +60,10 @@ def _best_timed(func, reps: int) -> tuple[float, object]:
     return best, result
 
 
-def _trace_hit_rate(before: dict, after: dict) -> float:
-    """Steady-state trace-cache hit rate across a timed window."""
-    hits = after["hits"] - before["hits"]
-    misses = after["misses"] - before["misses"]
-    total = hits + misses
-    return round(hits / total, 4) if total else 0.0
-
-
 # ----------------------------------------------------------------------
-# 1. KV-cached decoding: cached vs uncached, then lazy vs eager
+# 1. KV-cached decoding: cached vs uncached
 # ----------------------------------------------------------------------
 def bench_decode(smoke: bool) -> dict:
-    from repro.nn import lazy
     from repro.nn.transformer import Seq2SeqTransformer, TransformerConfig
     from tests.reference import decode as reference
 
@@ -109,29 +95,17 @@ def bench_decode(smoke: bool) -> dict:
                 return model.generate(src, **kwargs)
             return reference.generate(model, src, **kwargs)
 
-        # Lazy cached decode: one warm pass captures the step traces, then
-        # the timed passes are pure plan replays.
-        decode(True)
-        before = model._step_traces.stats()
-        lazy_s, lazy_out = _best_timed(lambda: decode(True), reps)
-        hit_rate = _trace_hit_rate(before, model._step_traces.stats())
+        decode(True)  # warm-up
+        cached_s, cached_out = _best_timed(lambda: decode(True), reps)
+        uncached_s, uncached_out = _timed(lambda: decode(False))
 
-        with lazy.disabled():
-            decode(True)
-            eager_s, eager_out = _best_timed(lambda: decode(True), reps)
-            uncached_s, uncached_out = _timed(lambda: decode(False))
-
-        assert lazy_out == eager_out, f"lazy/eager decode mismatch at {length}"
-        assert lazy_out == uncached_out, f"decode mismatch at length {length}"
+        assert cached_out == uncached_out, f"decode mismatch at length {length}"
         tokens = batch * length
         results[f"decode_len_{length}"] = {
             "shape": f"{batch} rows x {length} pinned steps",
-            "cached_tokens_per_s": round(tokens / lazy_s, 1),
-            "eager_cached_tokens_per_s": round(tokens / eager_s, 1),
+            "cached_tokens_per_s": round(tokens / cached_s, 1),
             "uncached_tokens_per_s": round(tokens / uncached_s, 1),
-            "speedup": round(uncached_s / lazy_s, 2),
-            "lazy_vs_eager": round(eager_s / lazy_s, 2),
-            "trace_hit_rate": hit_rate,
+            "speedup": round(uncached_s / cached_s, 2),
         }
     return results
 
@@ -140,7 +114,6 @@ def bench_decode(smoke: bool) -> dict:
 # 2. Vectorized per-sample gradients vs per-example DP-SGD loop
 # ----------------------------------------------------------------------
 def bench_dp_sgd(smoke: bool) -> dict:
-    from repro.nn import lazy
     from repro.nn.losses import cross_entropy, cross_entropy_per_example
     from repro.nn.transformer import Seq2SeqTransformer, TransformerConfig
     from repro.privacy.dpsgd import (
@@ -182,7 +155,6 @@ def bench_dp_sgd(smoke: bool) -> dict:
     dp = DPSGDConfig(noise_scale=1.0, clip_norm=0.5, learning_rate=0.05)
     loop_model = Seq2SeqTransformer(config, np.random.default_rng(11))
     fast_model = Seq2SeqTransformer(config, np.random.default_rng(11))
-    eager_model = Seq2SeqTransformer(config, np.random.default_rng(11))
 
     def run_loop():
         rng = np.random.default_rng(13)
@@ -194,44 +166,29 @@ def bench_dp_sgd(smoke: bool) -> dict:
         for _ in range(steps):
             dp_sgd_step_vectorized(module, examples, batch_loss, dp, rng)
 
-    # Warm both engines on a throwaway model (captures the clip/sum step
-    # trace, which is keyed by batch/shapes and shared across models).
-    warm_model = Seq2SeqTransformer(config, np.random.default_rng(11))
-    run_fast(warm_model)
-    with lazy.disabled():
-        run_fast(warm_model)
+    run_fast(Seq2SeqTransformer(config, np.random.default_rng(11)))  # warm-up
 
     loop_s, _ = _timed(run_loop)
     fast_s, _ = _timed(lambda: run_fast(fast_model))
-    with lazy.disabled():
-        eager_s, _ = _timed(lambda: run_fast(eager_model))
     drift = max(
         float(np.abs(a.data - b.data).max())
         for a, b in zip(loop_model.parameters(), fast_model.parameters())
     )
     assert drift < 1e-10, f"DP-SGD paths diverged: {drift}"
-    lazy_drift = max(
-        float(np.abs(a.data - b.data).max())
-        for a, b in zip(fast_model.parameters(), eager_model.parameters())
-    )
-    assert lazy_drift == 0.0, f"lazy/eager DP-SGD diverged: {lazy_drift}"
     processed = batch * steps
     return {
         "shape": f"{steps} steps x {batch} ragged seq2seq examples",
         "loop_examples_per_s": round(processed / loop_s, 1),
         "vectorized_examples_per_s": round(processed / fast_s, 1),
-        "eager_vectorized_examples_per_s": round(processed / eager_s, 1),
         "speedup": round(loop_s / fast_s, 2),
-        "lazy_vs_eager": round(eager_s / fast_s, 2),
         "max_param_drift": drift,
     }
 
 
 # ----------------------------------------------------------------------
-# 3. End-to-end S2 candidate synthesis, cache on vs off, lazy vs eager
+# 3. End-to-end S2 candidate synthesis, cache on vs off
 # ----------------------------------------------------------------------
 def bench_synthesize(smoke: bool) -> dict:
-    from repro.nn import lazy
     from repro.textgen.transformer_backend import (
         TransformerTextSynthesizer,
         TransformerTextSynthesizerConfig,
@@ -268,29 +225,22 @@ def bench_synthesize(smoke: bool) -> dict:
             for text, sim in requests
         ]
 
-    run()  # warm the step traces before timing the lazy path
+    run()  # warm-up
     cached_s, cached_out = _timed(run)
     with reference.uncached():
         uncached_s, uncached_out = _timed(run)
-    with lazy.disabled():
-        eager_s, eager_out = _timed(run)
     assert cached_out == uncached_out, "synthesize outputs diverged"
-    assert cached_out == eager_out, "lazy/eager synthesize outputs diverged"
     candidates = calls * config.n_candidates
     return {
         "shape": f"{calls} synthesize calls x {config.n_candidates} candidates",
         "cached_candidates_per_s": round(candidates / cached_s, 1),
-        "eager_cached_candidates_per_s": round(candidates / eager_s, 1),
         "uncached_candidates_per_s": round(candidates / uncached_s, 1),
         "speedup": round(uncached_s / cached_s, 2),
-        "lazy_vs_eager": round(eager_s / cached_s, 2),
         "decode_stats": synthesizer.generation_stats(),
     }
 
 
 def run(smoke: bool = False) -> dict:
-    from repro.nn import lazy
-
     report = {
         "benchmark": "nn_engine",
         "mode": "smoke" if smoke else "full",
@@ -299,7 +249,6 @@ def run(smoke: bool = False) -> dict:
             "dp_sgd": bench_dp_sgd(smoke),
             "synthesize": bench_synthesize(smoke),
         },
-        "engine": lazy.engine_stats(),
     }
     return report
 
@@ -309,13 +258,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="tiny scales for CI; fail if cached decode is not faster "
-        "or the lazy engine is slower than eager on cached decode",
+        "than the full-prefix oracle",
     )
     parser.add_argument(
         "--out", type=pathlib.Path, default=OUTPUT_PATH,
         help=f"output JSON path (default {OUTPUT_PATH})",
     )
     args = parser.parse_args(argv)
+    if args.smoke and args.out.resolve() == OUTPUT_PATH:
+        parser.error(f"--smoke needs --out: {OUTPUT_PATH.name} holds the full run")
     report = run(smoke=args.smoke)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(json.dumps(report, indent=1))
@@ -323,22 +274,13 @@ def main(argv=None) -> int:
     if args.smoke:
         decode = report["results"]["decode"]
         largest = decode[max(decode, key=lambda k: int(k.rsplit("_", 1)[1]))]
-        failed = False
         if largest["speedup"] <= 1.0:
             print(
                 "SMOKE FAIL: cached decode not faster at largest prefix "
                 f"(speedup {largest['speedup']}x)",
                 file=sys.stderr,
             )
-            failed = True
-        if largest["lazy_vs_eager"] <= 1.0:
-            print(
-                "SMOKE FAIL: lazy engine slower than eager on cached decode "
-                f"(lazy_vs_eager {largest['lazy_vs_eager']}x)",
-                file=sys.stderr,
-            )
-            failed = True
-        return 1 if failed else 0
+            return 1
     return 0
 
 

@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--families", default=None,
         help="comma-separated fault families (default: all of "
-        "disk,net,clock,kill,corruption,resource,nn)",
+        "disk,net,clock,kill,corruption,resource)",
     )
     chaos.add_argument("--workers", type=int, default=2)
     chaos.add_argument("--memory-budget-mb", type=float, default=2048.0)
@@ -316,22 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--replay-check", action="store_true",
         help="run the campaign twice and fail unless the schedules, fired "
         "sites and dataset digests match bit for bit",
-    )
-
-    nn_plans = commands.add_parser(
-        "nn-plans",
-        help="inspect the lazy NN engine's compiled schedules "
-        "(fused plans, trace cache hit rates)",
-    )
-    nn_plans.add_argument(
-        "action", choices=("dump",),
-        help="dump: run a miniature decode + DP-SGD step in-process and "
-        "print every cached plan plus engine counters as JSON",
-    )
-    nn_plans.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="also write the JSON dump to FILE (CI uploads this artifact "
-        "when the fusion smoke job fails)",
     )
     return parser
 
@@ -853,68 +837,6 @@ def _cmd_chaos(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_nn_plans(args) -> int:
-    """Exercise the lazy engine on miniature hot paths, dump its schedules.
-
-    Runs a small KV-cached decode and one vectorized DP-SGD step in-process
-    so the dump reflects the exact plans this checkout compiles (shapes,
-    fusion groups, replay counts), then prints the schedule-cache entries,
-    JIT trace entries, and aggregate counters as JSON.
-    """
-    import json
-    import pathlib
-
-    import numpy as np
-
-    from repro.nn import lazy
-    from repro.nn.lazy import jit
-    from repro.nn.losses import cross_entropy_per_example
-    from repro.nn.transformer import Seq2SeqTransformer, TransformerConfig
-    from repro.privacy.dpsgd import DPSGDConfig, dp_sgd_step_vectorized
-
-    config = TransformerConfig(
-        vocab_size=24, d_model=16, n_heads=2, n_encoder_layers=1,
-        n_decoder_layers=1, d_feedforward=32, dropout=0.0, max_length=16,
-    )
-    model = Seq2SeqTransformer(config, np.random.default_rng(3))
-    src = np.random.default_rng(4).integers(4, 24, size=(2, 6))
-    for _ in range(2):  # capture pass + replay pass
-        model.generate(
-            src, max_new_tokens=6, min_new_tokens=6,
-            rng=np.random.default_rng(5),
-        )
-
-    examples = [
-        (list(row), [1, 4, 5], [4, 5, 2])
-        for row in np.random.default_rng(6).integers(4, 24, size=(4, 5))
-    ]
-
-    def batch_loss(module, group):
-        source = np.asarray([b[0] for b in group])
-        target_in = np.asarray([b[1] for b in group])
-        target_out = np.asarray([b[2] for b in group])
-        return cross_entropy_per_example(
-            module(source, target_in), target_out, ignore_index=0
-        )
-
-    dp = DPSGDConfig(noise_scale=1.0, clip_norm=0.5, learning_rate=0.05)
-    rng = np.random.default_rng(7)
-    for _ in range(2):
-        dp_sgd_step_vectorized(model, examples, batch_loss, dp, rng)
-
-    dump = {
-        "engine": lazy.engine_stats(),
-        "schedule_plans": lazy.plan_entries(),
-        "trace_plans": jit.registered_entries(),
-    }
-    text = json.dumps(dump, indent=1)
-    print(text)
-    if args.out:
-        pathlib.Path(args.out).write_text(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0
-
-
 _COMMANDS = {
     "synthesize": _cmd_synthesize,
     "resume": _cmd_resume,
@@ -930,7 +852,6 @@ _COMMANDS = {
     "privacy-audit": _cmd_privacy_audit,
     "verify-artifacts": _cmd_verify_artifacts,
     "chaos": _cmd_chaos,
-    "nn-plans": _cmd_nn_plans,
 }
 
 

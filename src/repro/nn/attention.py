@@ -34,8 +34,7 @@ class MultiHeadAttention(Module):
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
-        # Hoisted so every attend() — and every recorded lazy graph — sees
-        # the identical scalar leaf instead of recomputing 1/sqrt(d_head).
+        # Hoisted so attend() does not recompute 1/sqrt(d_head) per call.
         self._scale = 1.0 / np.sqrt(self.d_head)
         self.query_proj = Linear(d_model, d_model, rng)
         self.key_proj = Linear(d_model, d_model, rng)
@@ -75,15 +74,6 @@ class MultiHeadAttention(Module):
         k = self._split_heads(self.key_proj(source), batch, length)
         v = self._split_heads(self.value_proj(source), batch, length)
         return k.data, v.data
-
-    def project_kv_lazy(self, source: Tensor) -> tuple[Tensor, Tensor]:
-        """:meth:`project_kv` without the realize boundary — K/V stay
-        pending Tensors so a traced decode step captures them inside its
-        single fused plan (see :mod:`repro.nn.lazy.jit`)."""
-        batch, length, _ = source.shape
-        k = self._split_heads(self.key_proj(source), batch, length)
-        v = self._split_heads(self.value_proj(source), batch, length)
-        return k, v
 
     def attend(
         self,

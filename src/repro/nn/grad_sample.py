@@ -94,6 +94,6 @@ def flat_grad_samples(parameters, batch: int) -> list[np.ndarray]:
 
     The flattened layout is what DP-SGD's clip arithmetic consumes — per-
     example squared norms via ``einsum("bp,bp->b")`` and clipped sums via
-    ``einsum("b,bp->p")`` — on both its eager and lazy-graph paths.
+    ``einsum("b,bp->p")``.
     """
     return [sample.reshape(batch, -1) for sample in collect_grad_samples(parameters)]

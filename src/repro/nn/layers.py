@@ -218,9 +218,9 @@ class LayerNorm(Module):
 
     def forward(self, inputs: Tensor) -> Tensor:
         # Share the centered term between the variance and the normalization
-        # (inputs.var would recompute it): one fewer subtraction eagerly, one
-        # fewer subgraph in the recorded lazy plan.  Values are bit-identical
-        # to the var() formulation — identical ops over identical operands.
+        # (inputs.var would recompute it): one fewer subtraction.  Values are
+        # bit-identical to the var() formulation — identical ops over
+        # identical operands.
         mean = inputs.mean(axis=-1, keepdims=True)
         centered = inputs - mean
         variance = (centered * centered).mean(axis=-1, keepdims=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import lazy as _engine
 from repro.nn.tensor import Tensor
 
 
@@ -55,13 +54,15 @@ class SGD(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-        self._scratch: list[np.ndarray] | None = None
+        self._scratch = [np.empty(p.shape) for p in self.parameters]
 
     def step(self) -> None:
-        fused = _engine.enabled()
-        if fused and self._scratch is None:
-            self._scratch = [np.empty(p.shape) for p in self.parameters]
-        for index, (param, velocity) in enumerate(zip(self.parameters, self._velocity)):
+        """``data -= lr * update`` as two ufuncs through reusable scratch
+        with ``out=`` — bit-identical to the allocating line, no per-step
+        temporaries (the allocating form lives in ``tests/reference/optim``)."""
+        for param, velocity, scratch in zip(
+            self.parameters, self._velocity, self._scratch
+        ):
             if param.grad is None:
                 continue
             if self.momentum:
@@ -70,16 +71,8 @@ class SGD(Optimizer):
                 update = velocity
             else:
                 update = param.grad
-            if fused:
-                # Same two ufuncs as the eager line, piped through reusable
-                # scratch with out= — bit-identical, zero allocation.
-                scratch = self._scratch[index]
-                data = param.data
-                np.multiply(update, self.learning_rate, out=scratch)
-                np.subtract(data, scratch, out=data)
-                param.data = data
-            else:
-                param.data -= self.learning_rate * update
+            np.multiply(update, self.learning_rate, out=scratch)
+            np.subtract(param.data, scratch, out=param.data)
 
     def state_dict(self) -> dict:
         state = super().state_dict()
@@ -111,50 +104,27 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
-        self._scratch: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._scratch = [(np.empty(p.shape), np.empty(p.shape)) for p in self.parameters]
 
     def step(self) -> None:
+        """The Adam update ufunc-for-ufunc through two reusable scratch
+        buffers per parameter — bit-identical to the allocating update in
+        ``tests/reference/optim``, without its seven per-step temporaries."""
         self._step_count += 1
-        if _engine.enabled():
-            self._step_fused()
-            return
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for param, m, v in zip(self.parameters, self._m, self._v):
+        for param, m, v, (s1, s2) in zip(
+            self.parameters, self._m, self._v, self._scratch
+        ):
             if param.grad is None:
                 continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _step_fused(self) -> None:
-        """The eager update replayed ufunc-for-ufunc through two reusable
-        scratch buffers per parameter — bit-identical values, no per-step
-        temporaries (the eager line allocates seven)."""
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
-        if self._scratch is None:
-            self._scratch = [
-                (np.empty(p.shape), np.empty(p.shape)) for p in self.parameters
-            ]
-        for index, (param, m, v) in enumerate(zip(self.parameters, self._m, self._v)):
-            if param.grad is None:
-                continue
-            s1, s2 = self._scratch[index]
             data = param.data
             grad = param.grad
             if self.weight_decay:
                 np.multiply(data, self.weight_decay, out=s1)
                 np.add(grad, s1, out=s1)
                 grad = s1
-            # v <- beta2*v + (1-beta2)*grad^2  (same ufunc order as eager)
+            # v <- beta2*v + (1-beta2)*grad^2
             np.power(grad, 2, out=s2)
             np.multiply(s2, 1.0 - self.beta2, out=s2)
             v *= self.beta2
@@ -171,7 +141,6 @@ class Adam(Optimizer):
             np.multiply(s2, self.learning_rate, out=s2)
             np.divide(s2, s1, out=s2)
             np.subtract(data, s2, out=data)
-            param.data = data
 
     def state_dict(self) -> dict:
         state = super().state_dict()

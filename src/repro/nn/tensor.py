@@ -1,5 +1,4 @@
-"""Reverse-mode automatic differentiation over numpy arrays, with a lazy
-op-graph fast path for grad-free execution.
+"""Reverse-mode automatic differentiation over numpy arrays.
 
 A :class:`Tensor` wraps an ``ndarray`` plus an optional gradient and a
 backward closure.  Calling :meth:`Tensor.backward` on a scalar loss walks the
@@ -10,20 +9,6 @@ Broadcasting is fully supported: every binary op records how to *unbroadcast*
 incoming gradients back to each operand's shape.  Batched matmul (any number
 of leading batch dimensions, numpy ``@`` semantics) is supported, which is
 what the transformer's attention needs.
-
-**Lazy execution.**  When :mod:`repro.nn.lazy` is enabled (the default) and
-an op's result would not track gradients — inference under
-:func:`no_grad`, or any arithmetic over non-parameter tensors — the op
-records a :class:`~repro.nn.lazy.graph.LazyNode` instead of computing, and
-the array is only produced when ``.data`` is read.  Realization compiles
-the accumulated graph into a fused kernel schedule cached by shape (see
-:mod:`repro.nn.lazy.fusion`), so hot loops like KV-cached decode replay a
-compiled plan instead of re-dispatching op by op.  Grad-tracked ops always
-execute eagerly: autograd, per-sample gradient instrumentation, and
-``backward`` are untouched by laziness.  Eager mode
-(``REPRO_NN_LAZY=0`` / ``lazy.disabled()``) is the bit-level equivalence
-oracle; every lazy kernel replicates the exact eager numpy arithmetic
-sequence, NaN/Inf propagation included.
 """
 
 from __future__ import annotations
@@ -32,9 +17,6 @@ import contextlib
 from collections.abc import Callable, Sequence
 
 import numpy as np
-
-from . import lazy as _engine
-from .lazy import graph as _graph
 
 _grad_enabled = True
 
@@ -70,26 +52,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _defer(*parents: "Tensor") -> bool:
-    """Record this op lazily?  Only when the result cannot need a backward
-    closure — laziness never intersects autograd."""
-    if not _engine.enabled():
-        return False
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return False
-    return True
-
-
 class Tensor:
-    """An autograd-tracked numpy array (lazily evaluated when grad-free)."""
+    """An autograd-tracked numpy array."""
 
-    __slots__ = ("_data", "_lazy", "grad", "grad_sample", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "grad_sample", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        self._data = np.asarray(data, dtype=np.float64)
-        self._lazy = None
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self.grad: np.ndarray | None = None
         # Per-example gradients (batch, *param_shape), populated only when a
@@ -99,76 +70,25 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
 
     # ------------------------------------------------------------------
-    # Lazy plumbing
-    # ------------------------------------------------------------------
-    @property
-    def data(self) -> np.ndarray:
-        """The realized ndarray; reading it evaluates any pending graph."""
-        data = self._data
-        if data is None:
-            data = _engine.realize(self._lazy)
-            self._data = data
-        return data
-
-    @data.setter
-    def data(self, value) -> None:
-        self._data = np.asarray(value, dtype=np.float64)
-        self._lazy = None  # the cached leaf (if any) no longer describes us
-
-    def _node(self):
-        """This tensor as a graph node (cached leaf for realized tensors)."""
-        node = self._lazy
-        if node is None:
-            node = _graph.leaf(self._data)
-            self._lazy = node
-        if _graph._trace is not None and node.value is not None:
-            # Replays must read this tensor's *current* array (weights can
-            # be swapped by load_state_dict/optimizer steps), not the one
-            # captured at trace time.
-            _graph._trace.register_tensor(node, self)
-        return node
-
-    @staticmethod
-    def _pending(node) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out._data = None
-        out._lazy = node
-        out.requires_grad = False
-        out.grad = None
-        out.grad_sample = None
-        out._backward = None
-        out._parents = ()
-        return out
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def shape(self) -> tuple[int, ...]:
-        return self._lazy.shape if self._data is None else self._data.shape
+        return self.data.shape
 
     @property
     def ndim(self) -> int:
-        return len(self.shape)
+        return self.data.ndim
 
     @property
     def size(self) -> int:
-        shape = self.shape
-        out = 1
-        for dim in shape:
-            out *= dim
-        return out
+        return self.data.size
 
     def __len__(self) -> int:
-        shape = self.shape
-        if not shape:
-            raise TypeError("len() of unsized object")
-        return shape[0]
+        return len(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
-        if self._data is None:
-            flag += ", pending"
         return f"Tensor(shape={self.shape}{flag})"
 
     def item(self) -> float:
@@ -193,10 +113,6 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        if _graph._trace is not None:
-            # An eagerly computed op inside a JIT trace produces values the
-            # replayed plan cannot reproduce — the tracer must not cache.
-            _graph._trace.saw_realize = True
         out = Tensor(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -257,10 +173,6 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = self._coerce(other)
-        if _defer(self, other):
-            node = _graph.ewise("add", self._node(), other._node())
-            if node is not None:
-                return Tensor._pending(node)
         data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -274,9 +186,6 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        if _defer(self):
-            return Tensor._pending(_graph.unary("neg", self._node()))
-
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(-grad)
@@ -291,10 +200,6 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        if _defer(self, other):
-            node = _graph.ewise("mul", self._node(), other._node())
-            if node is not None:
-                return Tensor._pending(node)
         data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -309,10 +214,6 @@ class Tensor:
 
     def __truediv__(self, other) -> "Tensor":
         other = self._coerce(other)
-        if _defer(self, other):
-            node = _graph.ewise("div", self._node(), other._node())
-            if node is not None:
-                return Tensor._pending(node)
         data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -331,8 +232,6 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        if _defer(self):
-            return Tensor._pending(_graph.unary("pow", self._node(), exponent))
         data = self.data**exponent
 
         def backward(grad: np.ndarray) -> None:
@@ -346,10 +245,6 @@ class Tensor:
     # ------------------------------------------------------------------
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        if _defer(self, other):
-            node = _graph.matmul(self._node(), other._node())
-            if node is not None:
-                return Tensor._pending(node)
         data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -366,8 +261,6 @@ class Tensor:
     # Nonlinearities
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        if _defer(self):
-            return Tensor._pending(_graph.unary("exp", self._node()))
         data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
@@ -377,8 +270,6 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def log(self) -> "Tensor":
-        if _defer(self):
-            return Tensor._pending(_graph.unary("log", self._node()))
         data = np.log(self.data)
 
         def backward(grad: np.ndarray) -> None:
@@ -391,8 +282,6 @@ class Tensor:
         return self**0.5
 
     def tanh(self) -> "Tensor":
-        if _defer(self):
-            return Tensor._pending(_graph.unary("tanh", self._node()))
         data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
@@ -402,8 +291,6 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        if _defer(self):
-            return Tensor._pending(_graph.relu(self._node()))
         mask = self.data > 0
         data = self.data * mask
 
@@ -424,8 +311,6 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        if _defer(self):
-            return Tensor._pending(_graph.sigmoid(self._node()))
         data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60, 60)))
 
         def backward(grad: np.ndarray) -> None:
@@ -438,10 +323,6 @@ class Tensor:
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if _defer(self):
-            node = _graph.reduce("sum", self._node(), axis, keepdims)
-            if node is not None:
-                return Tensor._pending(node)
         data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray) -> None:
@@ -456,7 +337,7 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
-            count = self.size
+            count = self.data.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.shape[a] for a in axes]))
@@ -467,10 +348,6 @@ class Tensor:
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        if _defer(self):
-            node = _graph.reduce("amax", self._node(), axis, keepdims)
-            if node is not None:
-                return Tensor._pending(node)
         data = self.data.max(axis=axis, keepdims=keepdims)
         arg = np.expand_dims(self.data.argmax(axis=axis), axis=axis)
 
@@ -490,10 +367,6 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        if _defer(self):
-            node = _graph.reshape(self._node(), shape)
-            if node is not None:
-                return Tensor._pending(node)
         data = self.data.reshape(shape)
         original = self.shape
 
@@ -508,10 +381,6 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        if _defer(self):
-            node = _graph.transpose(self._node(), axes)
-            if node is not None:
-                return Tensor._pending(node)
         data = self.data.transpose(axes)
         inverse = np.argsort(axes)
 
@@ -545,10 +414,6 @@ class Tensor:
         ``indices.shape + (row_width,)`` and gradients scatter-add back.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        if _defer(self):
-            node = _graph.gather(self._node(), _graph.leaf(indices))
-            if node is not None:
-                return Tensor._pending(node)
         data = self.data[indices]
 
         def backward(grad: np.ndarray) -> None:
@@ -562,12 +427,6 @@ class Tensor:
 
     def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
         """Replace entries where ``mask`` is True with ``value`` (constant)."""
-        if _defer(self):
-            node = _graph.where_const(
-                self._node(), _graph.leaf(np.asarray(mask, dtype=bool)), value
-            )
-            if node is not None:
-                return Tensor._pending(node)
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), self.shape)
         data = np.where(mask, value, self.data)
 
@@ -581,10 +440,6 @@ class Tensor:
     # Stable softmax family (primitives for numerical stability)
     # ------------------------------------------------------------------
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        if _defer(self):
-            node = _graph.softmax(self._node(), axis, log=True)
-            if node is not None:
-                return Tensor._pending(node)
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         data = shifted - log_z
@@ -597,10 +452,6 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        if _defer(self):
-            node = _graph.softmax(self._node(), axis, log=False)
-            if node is not None:
-                return Tensor._pending(node)
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         exp = np.exp(shifted)
         data = exp / exp.sum(axis=axis, keepdims=True)
@@ -616,10 +467,6 @@ class Tensor:
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
     tensors = [Tensor._coerce(t) for t in tensors]
-    if _defer(*tensors):
-        node = _graph.concat(tuple(t._node() for t in tensors), axis)
-        if node is not None:
-            return Tensor._pending(node)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)

@@ -20,11 +20,8 @@ from repro.nn.attention import (
     causal_mask,
     padding_mask,
 )
-from repro.nn import lazy as _engine
-from repro.nn import tensor as _tensor
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Module
-from repro.nn.lazy import jit as _jit
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from repro.nn.tensor import Tensor, no_grad
 
 
 @dataclass(frozen=True)
@@ -205,37 +202,6 @@ class DecoderLayer(Module):
         fed = self.feed_forward(targets)
         return self.norm_feed_forward(targets + self.dropout(fed))
 
-    def forward_step_traced(
-        self,
-        targets: Tensor,
-        cache: LayerKVCache,
-        memory_mask: np.ndarray | None,
-        self_mask: np.ndarray | None = None,
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        """:meth:`forward_step` without the realize boundaries.
-
-        K/V stay pending Tensors and the full (prefix + new) keys/values are
-        *returned* instead of appended to the cache, so a JIT trace captures
-        the entire step — projections, concat, both attentions, feed-forward
-        — as one multi-output plan (see :mod:`repro.nn.lazy.jit`).  The
-        caller stores the returned K/V back onto the cache.  ``np.concatenate``
-        with ``out=`` is bit-identical to :meth:`LayerKVCache.append_self`.
-        """
-        k_new, v_new = self.self_attention.project_kv_lazy(targets)
-        if cache.self_k is None:
-            k_full, v_full = k_new, v_new
-        else:
-            k_full = concatenate([Tensor(cache.self_k), k_new], axis=2)
-            v_full = concatenate([Tensor(cache.self_v), v_new], axis=2)
-        attended = self.self_attention.attend(targets, k_full, v_full, self_mask)
-        targets = self.norm_self(targets + self.dropout(attended))
-        crossed = self.cross_attention.attend(
-            targets, cache.cross_k, cache.cross_v, memory_mask
-        )
-        targets = self.norm_cross(targets + self.dropout(crossed))
-        fed = self.feed_forward(targets)
-        return self.norm_feed_forward(targets + self.dropout(fed)), k_full, v_full
-
 
 class Seq2SeqTransformer(Module):
     """Character-level encoder-decoder transformer.
@@ -268,9 +234,6 @@ class Seq2SeqTransformer(Module):
             "generate_calls": 0,
             "cached_tokens": 0,
         }
-        # JIT step traces: one multi-output fused plan per decode-step shape
-        # key, replayed with zero graph construction (repro.nn.lazy.jit).
-        self._step_traces = _jit.trace_cache()
 
     # ------------------------------------------------------------------
     # Forward pieces
@@ -345,12 +308,6 @@ class Seq2SeqTransformer(Module):
                 f"decode length {position + length} exceeds max_length "
                 f"{self.config.max_length}"
             )
-        if (
-            _engine.enabled()
-            and not _tensor._grad_enabled
-            and (self.config.dropout == 0.0 or not self.training)
-        ):
-            return self._decode_step_traced(new_ids, cache, position, length)
         embedded = self.token_embedding(new_ids) * self.scale
         embedded = embedded + Tensor(self.positions[position : position + length])
         hidden = self.embed_dropout(embedded)
@@ -367,66 +324,6 @@ class Seq2SeqTransformer(Module):
             )
         cache.length = position + length
         return self.output_proj(hidden).data[:, -1, :]
-
-    def _decode_step_traced(
-        self, new_ids: np.ndarray, cache: DecodeCache, position: int, length: int
-    ) -> np.ndarray:
-        """JIT decode step: replay one fused plan per shape key.
-
-        The step function below is captured ONCE per ``key`` — every Tensor
-        op, K/V concat, and projection collapses into a single multi-output
-        plan; later steps with the same key bind fresh token ids, KV
-        prefixes, and the memory mask into the plan and run only numpy
-        kernels (zero graph re-dispatch; see :mod:`repro.nn.lazy.jit`).
-        Byte-identical to the untraced path by the fusion kernels' bit-
-        identity contract.
-        """
-        batch = new_ids.shape[0]
-        memory_mask = cache.memory_mask
-        inputs = {"new_ids": new_ids}
-        if memory_mask is not None:
-            inputs["memory_mask"] = memory_mask
-        cross_shapes = []
-        for index, layer_cache in enumerate(cache.layers):
-            if layer_cache.self_k is not None:
-                inputs[f"k{index}"] = layer_cache.self_k
-                inputs[f"v{index}"] = layer_cache.self_v
-            inputs[f"ck{index}"] = layer_cache.cross_k
-            inputs[f"cv{index}"] = layer_cache.cross_v
-            cross_shapes.append(layer_cache.cross_k.shape)
-        key = (
-            position,
-            length,
-            batch,
-            None if memory_mask is None else memory_mask.shape,
-            tuple(cross_shapes),
-        )
-
-        def step():
-            embedded = self.token_embedding(new_ids) * self.scale
-            embedded = embedded + Tensor(self.positions[position : position + length])
-            hidden = self.embed_dropout(embedded)
-            self_mask = None
-            if length > 1:
-                blocked = np.triu(
-                    np.ones((length, position + length), dtype=bool), k=position + 1
-                )
-                self_mask = blocked[None, None, :, :]
-            kv_outputs = []
-            for layer, layer_cache in zip(self.decoder_layers, cache.layers):
-                hidden, k_full, v_full = layer.forward_step_traced(
-                    hidden, layer_cache, memory_mask, self_mask
-                )
-                kv_outputs.append(k_full)
-                kv_outputs.append(v_full)
-            return (self.output_proj(hidden), *kv_outputs)
-
-        results = _jit.run_traced(self._step_traces, key, step, inputs)
-        for index, layer_cache in enumerate(cache.layers):
-            layer_cache.self_k = results[1 + 2 * index]
-            layer_cache.self_v = results[2 + 2 * index]
-        cache.length = position + length
-        return results[0][:, -1, :]
 
     # ------------------------------------------------------------------
     # Autoregressive generation

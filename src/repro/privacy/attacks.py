@@ -37,13 +37,13 @@ reproduces the same numbers bit-for-bit.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.nn.losses import cross_entropy_per_example
+from repro.runtime.counters import Counters
 from repro.schema.entity import Entity
 from repro.similarity import kernels
 from repro.similarity.vector import SimilarityModel
@@ -61,24 +61,11 @@ _EXACT_DISTANCE = 1e-9
 # Audit counters (process-local; surfaced through /stats like the
 # integrity layer's quarantine counts)
 # ----------------------------------------------------------------------
-_COUNTER_LOCK = threading.Lock()
-_COUNTERS: dict[str, int] = {}
-
-
-def count_attack_event(name: str, n: int = 1) -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS[name] = _COUNTERS.get(name, 0) + n
-
-
-def attack_counters() -> dict[str, int]:
-    """Snapshot of this process's privacy-audit counters."""
-    with _COUNTER_LOCK:
-        snapshot = dict(_COUNTERS)
-    snapshot.setdefault("audits_run", 0)
-    snapshot.setdefault("mia_attacks_run", 0)
-    snapshot.setdefault("dcr_pairs_scored", 0)
-    snapshot.setdefault("privacy_reports_served", 0)
-    return snapshot
+_COUNTERS = Counters(
+    "audits_run", "mia_attacks_run", "dcr_pairs_scored", "privacy_reports_served"
+)
+count_attack_event = _COUNTERS.count
+attack_counters = _COUNTERS.snapshot
 
 
 # ----------------------------------------------------------------------

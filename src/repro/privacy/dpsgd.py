@@ -25,10 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn import lazy as _engine
 from repro.nn.grad_sample import flat_grad_samples, per_sample_grads
-from repro.nn.lazy import graph as _graph
-from repro.nn.lazy import jit as _jit
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 
@@ -128,48 +125,6 @@ def dp_sgd_step(
     return total_loss / len(examples)
 
 
-# One trace per (batch, clip_norm, parameter-shape) signature — a training
-# run has exactly one, so every step after the first is a pure replay.
-_STEP_TRACES = _jit.trace_cache()
-
-
-def _clip_and_sum_lazy(
-    flats: Sequence[np.ndarray], batch: int, clip_norm: float
-) -> np.ndarray:
-    """Algorithm 1 line 8 recorded as ONE lazy op-graph and realized fused.
-
-    Node-for-node the same arithmetic as the eager branch — squared norms via
-    ``einsum("bp,bp->b")`` accumulated with ``add``, ``sqrt``, the
-    where/maximum/divide clip-factor composite, the ``einsum("b,bp->p")``
-    weighted sums and the final concat — so the result is bit-identical and
-    the whole clip/sum pipeline replays from one cached schedule per
-    (parameter-count, shapes) signature.
-
-    The graph is captured through :func:`repro.nn.lazy.jit.run_traced`:
-    after the first step at a given (batch, shapes) key, later steps skip
-    graph construction entirely and bind the fresh flat-gradient arrays
-    straight into the replayed plan.
-    """
-    inputs = {f"g{i}": flat for i, flat in enumerate(flats)}
-    key = (batch, clip_norm, tuple(flat.shape[1] for flat in flats))
-
-    def build():
-        leaves = [_graph.leaf(flat) for flat in flats]
-        acc = _graph.leaf(np.zeros(batch))
-        for leaf in leaves:
-            term = _graph.einsum("bp,bp->b", (leaf, leaf), (batch,))
-            acc = _graph.ewise("add", acc, term)
-        norms = _graph.unary("sqrt", acc)
-        factors = _graph.dp_clip_factors(norms, clip_norm)
-        pieces = tuple(
-            _graph.einsum("b,bp->p", (factors, leaf), (leaf.shape[1],))
-            for leaf in leaves
-        )
-        return (_graph.concat(pieces, 0),)
-
-    return _jit.run_traced(_STEP_TRACES, key, build, inputs)[0]
-
-
 def dp_sgd_step_vectorized(
     model: Module,
     examples: Sequence,
@@ -217,22 +172,19 @@ def dp_sgd_step_vectorized(
         losses.sum().backward()
     batch = len(examples)
     flats = flat_grad_samples(parameters, batch)
-    if _engine.enabled():
-        summed = _clip_and_sum_lazy(flats, batch, config.clip_norm)
-    else:
-        # Line 8 vectorized: per-example L2 norms and clip factors.
-        squared_norms = np.zeros(batch)
-        for flat in flats:
-            squared_norms += np.einsum("bp,bp->b", flat, flat)
-        norms = np.sqrt(squared_norms)
-        factors = np.where(
-            norms > config.clip_norm,
-            config.clip_norm / np.maximum(norms, np.finfo(np.float64).tiny),
-            1.0,
-        )
-        summed = np.concatenate([
-            np.einsum("b,bp->p", factors, flat) for flat in flats
-        ])
+    # Line 8 vectorized: per-example L2 norms and clip factors.
+    squared_norms = np.zeros(batch)
+    for flat in flats:
+        squared_norms += np.einsum("bp,bp->b", flat, flat)
+    norms = np.sqrt(squared_norms)
+    factors = np.where(
+        norms > config.clip_norm,
+        config.clip_norm / np.maximum(norms, np.finfo(np.float64).tiny),
+        1.0,
+    )
+    summed = np.concatenate([
+        np.einsum("b,bp->p", factors, flat) for flat in flats
+    ])
     # Line 9: add N(0, sigma^2 V^2 I) and average — identical draw to the loop.
     if config.noise_scale > 0:
         summed += rng.normal(

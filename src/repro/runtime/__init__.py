@@ -7,6 +7,8 @@ makes that pipeline survivable:
 - :mod:`repro.runtime.io` — atomic (tmp + ``os.replace``) file writes;
 - :mod:`repro.runtime.checkpoint` — named, durable stage checkpoints with
   RNG-stream capture, so ``resume`` reproduces uninterrupted runs exactly;
+- :mod:`repro.runtime.counters` — the thread-safe event-counter registry
+  behind the integrity, resource and privacy-audit ``/stats`` blocks;
 - :mod:`repro.runtime.guards` — NaN/Inf detection with bounded
   rollback-and-retry for training loops;
 - :mod:`repro.runtime.health` — the per-stage health report surfaced on
@@ -35,6 +37,7 @@ from repro.runtime.cancellation import (
     install_signal_handlers,
 )
 from repro.runtime.checkpoint import StageCheckpointer, restore_rng, rng_state
+from repro.runtime.counters import Counters
 from repro.runtime.guards import DivergenceError, TrainingGuard, all_finite
 from repro.runtime.health import (
     COMPLETED,
@@ -80,6 +83,7 @@ __all__ = [
     "StageCheckpointer",
     "rng_state",
     "restore_rng",
+    "Counters",
     "DivergenceError",
     "TrainingGuard",
     "all_finite",

@@ -41,12 +41,6 @@ Fault families and how each reaches the system under test:
   soft budget mid-run inside the worker: the job must *downshift* its
   checkpoint chunk (visible in the result's resource counters) and still
   complete byte-identical — never dead-letter.
-- ``nn`` — a :class:`~repro.nn.lazy.KernelFault` on the lazy engine's
-  ``nn.realize`` site, fired mid-round inside an in-process KV-cached
-  decode probe (the chaos job itself runs ``train_gan=False`` numeric
-  synthesis, which never dispatches NN kernels): the fault must surface
-  as ``KernelFault`` at the drawn realize call, and a clean retry must
-  decode byte-identically to the eager oracle.
 
 Invariants checked every round: the job completed with exactly one
 ``completed`` event (no lost or duplicated work per idempotency key), its
@@ -72,7 +66,7 @@ import time
 
 import numpy as np
 
-FAMILIES = ("disk", "net", "clock", "kill", "corruption", "resource", "nn")
+FAMILIES = ("disk", "net", "clock", "kill", "corruption", "resource")
 
 #: Sites a schedule may arm as in-process FaultSpecs, by family.
 _NET_SITES = ("net.request", "net.stream.server_truncate")
@@ -180,13 +174,6 @@ class ChaosCampaign:
             )
         if family == "resource":
             return ChaosEvent("resource", "resource.overbudget")
-        if family == "nn":
-            # Fires inside the round's lazy-decode probe: a 12-step traced
-            # decode plus the encoder pass makes well over 13 realize
-            # dispatches, so any drawn call index is reached.
-            return ChaosEvent(
-                "nn", "nn.realize", at_calls=(int(rng.integers(1, 13)),)
-            )
         raise AssertionError(family)
 
     def schedule(self) -> list[RoundPlan]:
@@ -219,52 +206,6 @@ class ChaosCampaign:
             "resource_entities": self.resource_entities,
             "schedule": [plan.to_dict() for plan in self.schedule()],
         }
-
-
-def run_nn_probe(job_seed: int, at_calls: tuple[int, ...]) -> dict:
-    """Fire ``nn.realize`` inside a lazy KV-cached decode; prove recovery.
-
-    Deterministic and fully in-process (worker-side delivery would make the
-    fire count depend on retry/restart scheduling): the drawn realize call
-    raises :class:`~repro.nn.lazy.KernelFault` mid-decode, and a clean
-    retry under the *same armed plan* (the one-shot call index is already
-    consumed) must produce sequences byte-identical to the eager oracle.
-    Returns ``{"fired": bool, "failures": [...]}`` for the round report.
-    """
-    from repro.nn import lazy
-    from repro.nn.transformer import Seq2SeqTransformer, TransformerConfig
-    from repro.runtime.faults import FaultPlan, FaultSpec, inject_faults
-
-    config = TransformerConfig(
-        vocab_size=24, d_model=16, n_heads=2, n_encoder_layers=1,
-        n_decoder_layers=1, d_feedforward=32, dropout=0.0, max_length=24,
-    )
-    model = Seq2SeqTransformer(config, np.random.default_rng(job_seed))
-    src = np.random.default_rng(job_seed + 1).integers(4, 24, size=(2, 6))
-
-    def decode():
-        return model.generate(
-            src, max_new_tokens=12, min_new_tokens=12,
-            rng=np.random.default_rng(job_seed + 2),
-        )
-
-    result = {"fired": False, "failures": []}
-    fault_plan = FaultPlan(FaultSpec("nn.realize", at_calls=at_calls))
-    with inject_faults(fault_plan):
-        try:
-            decode()
-            result["failures"].append(
-                "nn.realize fault never surfaced during the lazy decode"
-            )
-        except lazy.KernelFault:
-            result["fired"] = True
-        retried = decode()
-    with lazy.disabled():
-        if retried != decode():
-            result["failures"].append(
-                "post-fault lazy decode diverged from the eager oracle"
-            )
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -571,15 +512,6 @@ def run_campaign(
                         entry["failures"].append(
                             f"could not corrupt {victim}"
                         )
-
-            nn_event = events_by_family.get("nn")
-            if nn_event is not None:
-                # Outside the job's fault window: inject_faults arms one
-                # global plan at a time, and the probe is self-contained.
-                probe = run_nn_probe(plan.job_seed, nn_event.at_calls)
-                if probe["fired"]:
-                    entry["fired_sites"].append("nn.realize")
-                entry["failures"].extend(probe["failures"])
 
             for problem in (
                 check_no_lost_or_duplicated(queue, idempotency_key),

@@ -56,11 +56,6 @@ Sites currently compiled in:
   governor's RSS / free-disk readings (:mod:`repro.runtime.resources`), so
   tests drive the memory degradation ladder and the disk low-water
   preflight without actually exhausting the machine.
-- ``nn.realize`` — raise :class:`repro.nn.lazy.KernelFault` inside the lazy
-  engine's kernel dispatch (:mod:`repro.nn.lazy.realize`).  The site fires
-  once per graph realization and once per JIT trace replay
-  (:mod:`repro.nn.lazy.jit`), so chaos campaigns cover both the compiled
-  and the traced execution paths.
 
 Usage::
 

@@ -36,8 +36,9 @@ import hashlib
 import json
 import os
 import pathlib
-import threading
 from contextlib import contextmanager
+
+from repro.runtime.counters import Counters
 
 ENVELOPE_KEY = "integrity"
 ENVELOPE_ALGO = "sha256"
@@ -109,28 +110,12 @@ def disabled():
 # ----------------------------------------------------------------------
 # Counters (process-local; surfaced through /stats)
 # ----------------------------------------------------------------------
-_COUNTER_LOCK = threading.Lock()
-_COUNTERS: dict[str, int] = {}
-
-
-def count_event(name: str, n: int = 1) -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS[name] = _COUNTERS.get(name, 0) + n
-
-
-def counters() -> dict[str, int]:
-    """Snapshot of this process's integrity counters."""
-    with _COUNTER_LOCK:
-        snapshot = dict(_COUNTERS)
-    snapshot.setdefault("artifacts_verified", 0)
-    snapshot.setdefault("corrupt_artifacts_quarantined", 0)
-    snapshot.setdefault("shards_requeued_corrupt", 0)
-    return snapshot
-
-
-def reset_counters() -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS.clear()
+_COUNTERS = Counters(
+    "artifacts_verified", "corrupt_artifacts_quarantined", "shards_requeued_corrupt"
+)
+count_event = _COUNTERS.count
+counters = _COUNTERS.snapshot
+reset_counters = _COUNTERS.reset
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,7 @@ import pathlib
 import threading
 
 from repro.runtime import faults
+from repro.runtime.counters import Counters
 
 #: Hard floor for governed chunk sizes — shrinking below this buys nothing
 #: (checkpoint commits would dominate) and risks a zero-size loop.
@@ -328,35 +329,18 @@ class ResourceGovernor:
 # ----------------------------------------------------------------------
 # Counters (process-global; surfaced through /stats, health, job results)
 # ----------------------------------------------------------------------
-_COUNTER_LOCK = threading.Lock()
-_COUNTERS: dict[str, int] = {}
-
-
-def count_event(name: str, n: int = 1) -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS[name] = _COUNTERS.get(name, 0) + n
-
-
-def counters() -> dict[str, int]:
-    """Snapshot of this process's resource counters."""
-    with _COUNTER_LOCK:
-        snapshot = dict(_COUNTERS)
-    for key in (
-        "memory_soft_trips",
-        "memory_hard_trips",
-        "chunk_downshifts",
-        "disk_preflight_rejections",
-        "disk_high_water_warnings",
-        "jobs_released_on_exhaustion",
-        "shards_split_oversized",
-    ):
-        snapshot.setdefault(key, 0)
-    return snapshot
-
-
-def reset_counters() -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS.clear()
+_COUNTERS = Counters(
+    "memory_soft_trips",
+    "memory_hard_trips",
+    "chunk_downshifts",
+    "disk_preflight_rejections",
+    "disk_high_water_warnings",
+    "jobs_released_on_exhaustion",
+    "shards_split_oversized",
+)
+count_event = _COUNTERS.count
+counters = _COUNTERS.snapshot
+reset_counters = _COUNTERS.reset
 
 
 # ----------------------------------------------------------------------

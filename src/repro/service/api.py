@@ -47,7 +47,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
-from repro.nn import lazy as nn_lazy
 from repro.privacy.attacks import attack_counters, count_attack_event
 from repro.runtime import faults, integrity, resources
 from repro.runtime.integrity import CorruptArtifactError
@@ -220,7 +219,6 @@ class ServiceContext:
         self.metrics.register_provider("integrity", self._integrity_snapshot)
         self.metrics.register_provider("privacy_audit", attack_counters)
         self.metrics.register_provider("resources", self._resources_snapshot)
-        self.metrics.register_provider("nn_engine", nn_lazy.engine_stats)
 
     def model(self, name: str, version: str | None) -> LoadedModel:
         try:

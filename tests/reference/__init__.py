@@ -10,6 +10,8 @@ import these modules; nothing under ``src/`` does.
   battery, full profile rebuilds and un-memoized q-grams.
 - :mod:`.decode` — full-prefix re-decode, the oracle for KV-cached
   ``Seq2SeqTransformer.generate``.
+- :mod:`.optim` — allocating SGD and Adam updates, the oracle for the
+  in-place ``out=`` optimizer steps.
 - :mod:`.seed_path` — a scoped patch that runs the sequential S2 loop on
   all of the above plus per-call JSD (the benchmark baseline).
 """

@@ -3,7 +3,9 @@
 ``generate`` feeds one token per step and replays append-only K/V; the
 oracle (:mod:`tests.reference.decode`) re-runs the full decoder over the
 whole prefix.  Both must emit byte-identical token sequences under a shared
-RNG — greedy, sampled, and fanned-out (``samples_per_source``) decoding.
+RNG — greedy, sampled, fanned-out (``samples_per_source``) decoding, and one
+model decoding different sources back to back.  Multi-token prefill steps
+match a full-prefix decoder pass.
 """
 
 import numpy as np
@@ -97,6 +99,27 @@ class TestGenerateEquivalence:
         )
         assert all(len(tokens) >= 10 for tokens in outputs)
 
+    @pytest.mark.parametrize("samples_per_source", [1, 3])
+    def test_sources_back_to_back_byte_identical(
+        self, model, rng, samples_per_source
+    ):
+        """One model decodes different sources in turn — same shape with new
+        content, then a padded source (new memory mask and length); no state
+        from an earlier call leaks into a later one."""
+        src_a = rng.integers(4, 22, size=(4, 6))
+        src_b = rng.integers(4, 22, size=(4, 6))
+        src_c = np.pad(src_b, ((0, 0), (0, 2)))
+        for seed, source in enumerate((src_a, src_b, src_c, src_a)):
+            kwargs = dict(temperature=0.9, samples_per_source=samples_per_source)
+            cached = model.generate(
+                source, rng=np.random.default_rng(seed), **kwargs
+            )
+            uncached = reference.generate(
+                model, source, rng=np.random.default_rng(seed), **kwargs
+            )
+            assert len(cached) == 4 * samples_per_source
+            assert cached == uncached
+
     def test_decode_stats_accumulate(self, config, rng):
         fresh = Seq2SeqTransformer(config, rng)
         src = rng.integers(4, 22, size=(3, 5))
@@ -135,6 +158,28 @@ class TestDecodeStep:
         cache = model.start_decode_cache(memory, memory_mask)
         stepped = model.decode_step(prefix, cache)
         np.testing.assert_allclose(stepped, full, atol=1e-10)
+
+    @pytest.mark.parametrize("n_new", [2, 3, 6])
+    def test_prefill_then_steps_match_full_decode(self, model, rng, n_new):
+        """Prefill ``n_new`` tokens in one step, then feed the rest one at a
+        time; after every step the logits match a full-prefix decode."""
+        src = rng.integers(4, 22, size=(3, 6))
+        prefix = rng.integers(4, 22, size=(3, 8))
+        prefix[:, 0] = model.BOS
+        memory, memory_mask = model.encode(src)
+        cache = model.start_decode_cache(memory, memory_mask)
+        logits = model.decode_step(prefix[:, :n_new], cache)
+        for end in range(n_new, prefix.shape[1] + 1):
+            if end > n_new:
+                logits = model.decode_step(prefix[:, end - 1 : end], cache)
+            expected = model.decode(
+                prefix[:, :end], memory, memory_mask
+            ).data[:, -1, :]
+            np.testing.assert_allclose(logits, expected, atol=1e-10)
+            np.testing.assert_array_equal(
+                logits.argmax(axis=-1), expected.argmax(axis=-1)
+            )
+        assert cache.length == prefix.shape[1]
 
     def test_length_guard(self, model, rng):
         src = rng.integers(4, 22, size=(1, 4))

@@ -7,6 +7,8 @@ from repro.nn import SGD, Adam, Linear, Tensor, binary_cross_entropy, cross_entr
 from repro.nn.losses import mse_loss
 from repro.nn.optim import clip_grad_norm_, global_grad_norm
 
+from tests.reference import optim as reference
+
 
 def _quadratic_param():
     return Tensor(np.array([5.0, -3.0]), requires_grad=True)
@@ -65,6 +67,49 @@ class TestAdam:
             (param * 0.0).sum().backward()  # zero task gradient
             optimizer.step()
         assert abs(param.data[0]) < 10.0
+
+
+class TestInPlaceUpdateMatchesReference:
+    """The scratch-buffer ``out=`` steps equal the allocating numpy lines
+    bit for bit: parameters, velocity and both Adam moments."""
+
+    CASES = {
+        "sgd": (SGD, {"learning_rate": 0.05}, reference.sgd_step),
+        "sgd_momentum": (
+            SGD, {"learning_rate": 0.05, "momentum": 0.9}, reference.sgd_step
+        ),
+        "adam": (Adam, {"learning_rate": 0.01}, reference.adam_step),
+        "adam_weight_decay": (
+            Adam, {"learning_rate": 0.01, "weight_decay": 1.0}, reference.adam_step
+        ),
+    }
+
+    @staticmethod
+    def _state(optimizer):
+        arrays = [p.data for p in optimizer.parameters]
+        for name in ("_velocity", "_m", "_v"):
+            arrays += getattr(optimizer, name, [])
+        return arrays
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_over_steps(self, case):
+        cls, kwargs, reference_step = self.CASES[case]
+        init = np.random.default_rng(0)
+        shapes = [(4, 3), (3,), (2, 2)]
+        values = [init.normal(size=shape) for shape in shapes]
+        fast = cls([Tensor(v.copy(), requires_grad=True) for v in values], **kwargs)
+        slow = cls([Tensor(v.copy(), requires_grad=True) for v in values], **kwargs)
+        grads = np.random.default_rng(1)
+        for step in range(6):
+            for index, shape in enumerate(shapes):
+                # The last parameter skips every third step (no gradient).
+                grad = None if index == 2 and step % 3 == 2 else grads.normal(size=shape)
+                fast.parameters[index].grad = None if grad is None else grad.copy()
+                slow.parameters[index].grad = None if grad is None else grad.copy()
+            fast.step()
+            reference_step(slow)
+            for a, b in zip(self._state(fast), self._state(slow)):
+                assert a.shape == b.shape and (a == b).all()
 
 
 class TestGradNorm:

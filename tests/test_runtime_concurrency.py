@@ -1,18 +1,23 @@
-"""Concurrency tests for the atomic I/O layer and queue claims.
+"""Concurrency tests for the atomic I/O layer, queue claims and counters.
 
-Two invariants the service stack leans on:
+Three invariants the service stack leans on:
 
 - ``atomic_write_json`` under racing writers: a reader never observes a
   torn file — every read is the complete output of exactly one writer.
 - ``JobQueue.claim`` under racing workers: exactly one claimant wins a
   given job, even when all of them fire at the same instant.
+- :class:`~repro.runtime.Counters` under racing threads: no increment is
+  lost.
 """
 
 import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 
+from repro.runtime import Counters
 from repro.runtime.io import atomic_write_json, read_json
 from repro.service import JobQueue
 
@@ -147,3 +152,34 @@ class TestConcurrentClaims:
         # No two claimants got the same job.
         assert len(claimed) == len(set(claimed))
         assert set(claimed) <= submitted
+
+
+class TestCounters:
+    def test_racing_increments_are_never_lost(self):
+        threads, increments = 8, 5000
+        counters = Counters("events", "untouched")
+        barrier = threading.Barrier(threads)
+
+        def hammer():
+            barrier.wait()
+            for _ in range(increments):
+                counters.count("events")
+
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        # Switch threads as often as possible so an unlocked
+        # read-modify-write would lose increments.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counters.snapshot() == {
+            "events": threads * increments,
+            "untouched": 0,
+        }
+        counters.reset()
+        assert counters.snapshot() == {"events": 0, "untouched": 0}
