@@ -4,8 +4,7 @@ Times the three kernel shapes against the scalar reference path
 (:mod:`tests.reference.similarity`) on the restaurant benchmark and writes ``BENCH_similarity_kernels.json`` at the repo
 root:
 
-- **cross_block**: dense S3 labeling (``label_all_pairs`` without a blocker);
-- **blocked pairs**: S3 labeling through a token blocker;
+- **cross_block**: S3 labeling (``label_all_pairs``);
 - **one_vs_many**: the S2 ``Delta X_syn`` shape.
 
 Runnable standalone (``python benchmarks/bench_similarity_kernels.py``) or
@@ -36,7 +35,6 @@ def run(scale: float = 1.0, seed: int = 11) -> dict:
     from repro.core.labeling import label_all_pairs
     from repro.datasets import load_dataset
     from repro.distributions.mixture import PairDistribution
-    from repro.similarity.candidates import TokenBlocker
     from repro.similarity.vector import SimilarityModel
     from tests.reference import similarity as reference
 
@@ -70,20 +68,6 @@ def run(scale: float = 1.0, seed: int = 11) -> dict:
         ),
         lambda: label_all_pairs(
             dataset.table_a, dataset.table_b, set(), o_real, model,
-        ),
-    )
-
-    blocker = TokenBlocker(dataset.schema)
-    record(
-        "label_all_pairs_blocked",
-        f"{n_a}x{n_b} via token blocker",
-        lambda: reference.label_all_pairs(
-            dataset.table_a, dataset.table_b, set(), o_real, model,
-            blocker=blocker,
-        ),
-        lambda: label_all_pairs(
-            dataset.table_a, dataset.table_b, set(), o_real, model,
-            blocker=blocker,
         ),
     )
 

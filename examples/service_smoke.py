@@ -15,10 +15,19 @@ whole service stack against the tiny restaurant dataset:
    resumed run reports ``resumed_entities > 0``, and that the final dataset
    is bit-identical to an uninterrupted in-process run under the same seed.
 
+With ``--shards 2`` the job is sharded.  The one worker coordinates it and
+runs both shard sub-jobs inline, so the SIGKILL lands inside a shard the
+coordinator claimed itself.  The oracle is then an uninterrupted run of the
+same job through the same one-worker service (the in-process
+``synthesize(n_shards=2)`` applies peer feedback at shard start, the
+service at a shard's first checkpoint, so the two differ), and the checks
+are: the job is ``done``, no shard sub-job was dead-lettered, and the
+dataset equals that oracle.
+
 The job's health report is left at ``<workdir>/queue/results/<job>/
 health.json`` for CI to upload as an artifact.
 
-Run: ``PYTHONPATH=src python examples/service_smoke.py``
+Run: ``PYTHONPATH=src python examples/service_smoke.py [--shards 2]``
 """
 
 from __future__ import annotations
@@ -56,7 +65,9 @@ def main() -> int:
     parser.add_argument("--scale", type=float, default=0.08)
     parser.add_argument("--n", type=int, default=60, help="entities per table")
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--shards", type=int, default=1)
     args = parser.parse_args()
+    sharded = args.shards > 1
 
     workdir = pathlib.Path(args.workdir)
     registry_dir = workdir / "registry"
@@ -73,12 +84,7 @@ def main() -> int:
     entry = registry.register("restaurant", real, config)
     print(f"      registered {entry.name} {entry.version}")
 
-    print("[2/5] computing the uninterrupted baseline in-process ...")
-    baseline, _ = registry.load("restaurant")
-    baseline.rng = np.random.default_rng(args.seed)
-    expected = baseline.synthesize(args.n, args.n).dataset
-
-    print("[3/5] starting service (1 worker, 2s lease) ...")
+    print("[2/5] starting service (1 worker, 2s lease) ...")
     service = SynthesisService(
         registry_dir, queue_dir, port=0, n_workers=1, lease_seconds=2.0
     )
@@ -86,17 +92,44 @@ def main() -> int:
     queue = JobQueue(queue_dir)
     try:
         client = ServiceClient(service.url)
-        job = client.submit("restaurant", n_a=args.n, n_b=args.n, seed=args.seed)
-        job_id = job["id"]
+
+        def submit():
+            return client.submit(
+                "restaurant", n_a=args.n, n_b=args.n, seed=args.seed,
+                shards=args.shards,
+            )["id"]
+
+        if sharded:
+            print("[3/5] running the uninterrupted baseline through the service ...")
+            record = client.wait(submit(), timeout=300, poll_seconds=0.2)
+            if record["status"] != "done":
+                print(f"FAIL: baseline job finished as {record['status']}")
+                return 1
+            expected = load_saved_dataset(record["result"]["dataset_dir"])
+        else:
+            print("[3/5] computing the uninterrupted baseline in-process ...")
+            baseline, _ = registry.load("restaurant")
+            baseline.rng = np.random.default_rng(args.seed)
+            expected = baseline.synthesize(args.n, args.n).dataset
+
+        job_id = submit()
         print(f"      submitted {job_id}")
 
         # Kill the worker the moment its first S2 progress checkpoint lands
         # on disk — from then on a resume has real progress to pick up.
-        manifest = queue.result_dir(job_id) / "checkpoint" / "manifest.json"
+        # A sharded job checkpoints in its shard sub-jobs' directories.
+        def progress_committed():
+            owners = queue.children(job_id) if sharded else [queue.get(job_id)]
+            for owner in owners:
+                manifest = (
+                    queue.result_dir(owner.id) / "checkpoint" / "manifest.json"
+                )
+                if manifest.exists() and "s2_progress" in manifest.read_text():
+                    return True
+            return False
+
         _wait_for(
-            lambda: manifest.exists() and "s2_progress" in manifest.read_text(),
-            timeout=120,
-            what="first s2 progress checkpoint",
+            progress_committed, timeout=120, what="first s2 progress checkpoint"
         )
         victim = service.pool._procs[0]
         victim.kill()  # SIGKILL: no drain, no release — a real crash
@@ -114,18 +147,26 @@ def main() -> int:
             failures.append(f"no reclaim happened (events: {events})")
         if service.pool.restarts < 1:
             failures.append("supervisor never restarted the killed worker")
-        health = json.loads(
-            (queue.result_dir(job_id) / "health.json").read_text()
-        )
-        (s2,) = [s for s in health["stages"] if s["name"] == "s2_synthesis"]
-        if s2["counters"].get("resumed_entities", 0) <= 0:
-            failures.append("job did not resume from the checkpoint")
+        resumed = None
+        if sharded:
+            dead = [c.id for c in queue.children(job_id) if c.status != "done"]
+            if dead:
+                failures.append(f"shard sub-jobs not done: {dead}")
+        else:
+            health = json.loads(
+                (queue.result_dir(job_id) / "health.json").read_text()
+            )
+            (s2,) = [s for s in health["stages"] if s["name"] == "s2_synthesis"]
+            resumed = s2["counters"].get("resumed_entities", 0)
+            if resumed <= 0:
+                failures.append("job did not resume from the checkpoint")
         actual = load_saved_dataset(record["result"]["dataset_dir"])
         if (
             [e.values for e in actual.table_a] != [e.values for e in expected.table_a]
             or [e.values for e in actual.table_b]
             != [e.values for e in expected.table_b]
             or actual.matches != expected.matches
+            or actual.non_matches != expected.non_matches
         ):
             failures.append("recovered dataset differs from uninterrupted baseline")
 
@@ -135,8 +176,9 @@ def main() -> int:
             return 1
         print(
             f"OK: worker killed mid-S2, job reclaimed (attempts="
-            f"{record['attempts']}), resumed {s2['counters']['resumed_entities']} "
-            "entities, dataset bit-identical to the uninterrupted run"
+            f"{record['attempts']}), "
+            + (f"resumed {resumed} entities, " if resumed is not None else "")
+            + "dataset bit-identical to the uninterrupted run"
         )
         print(f"health report: {queue.result_dir(job_id) / 'health.json'}")
         return 0

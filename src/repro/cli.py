@@ -358,7 +358,7 @@ def _cmd_synthesize(args) -> int:
     token, restore = _graceful_token()
     try:
         synthesizer.fit(real, checkpoint_dir=args.checkpoint, stop=token)
-        output = synthesizer.synthesize_sharded(
+        output = synthesizer.synthesize(
             n_shards=args.shards, checkpoint_dir=args.checkpoint, stop=token
         )
     except SynthesisInterrupted as error:
@@ -392,7 +392,7 @@ def _cmd_resume(args) -> int:
     token, restore = _graceful_token()
     try:
         synthesizer = SERDSynthesizer.resume(args.checkpoint, real)
-        output = synthesizer.synthesize_sharded(
+        output = synthesizer.synthesize(
             n_shards=args.shards, checkpoint_dir=args.checkpoint, stop=token
         )
     except SynthesisInterrupted as error:

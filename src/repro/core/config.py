@@ -8,13 +8,18 @@ from repro.gan.training import TabularGANConfig
 from repro.privacy.dpsgd import DPSGDConfig
 from repro.textgen.transformer_backend import TransformerTextSynthesizerConfig
 
-# Removed switches that only chose between two implementations of one
-# computation.  Checkpoint manifests and registry metadata written while
-# they existed still carry them, so ``from_dict`` drops them.
+# Removed options: switches that only chose between two implementations of
+# one computation, the lossy blocked S3 fork, and the livelock-warning
+# knobs (now constants in ``repro.core.serd``).  Checkpoint manifests and
+# registry metadata written while they existed still carry them, so
+# ``from_dict`` drops them.
 RETIRED_KEYS = (
     "use_similarity_kernels",
     "transformer.dp_vectorized",
     "transformer.generation_cache",
+    "use_blocking_for_labeling",
+    "fallback_warn_threshold",
+    "fallback_warn_min",
 )
 
 
@@ -88,24 +93,11 @@ class SERDConfig:
         matching how real benchmarks label candidate pairs.
     label_all_pairs:
         Run S3 posterior labeling over all unlabeled cross pairs.
-    use_blocking_for_labeling:
-        Score only token-blocking candidates during S3 (pairs sharing no
-        token cannot reach a match-grade posterior), turning the quadratic
-        labeling pass into a near-linear one for large syntheses.  Requires
-        at least one string-like column.
     one_to_one_matches:
         Prefer match-free anchors when sampling a matching similarity
         vector.  Real ER benchmarks are (near) one-to-one; without this,
         match edges chain into transitive clusters whose cross products
         inflate M_syn far beyond the real match density.
-    fallback_warn_threshold, fallback_warn_min:
-        Rejection-livelock telemetry: when at least ``fallback_warn_min``
-        synthesis slots have completed and more than
-        ``fallback_warn_threshold`` of them were retry-exhausted fallbacks
-        (the slot accepted its least-drifting candidate because every retry
-        was rejected), ``synthesize`` emits one ``RuntimeWarning`` for the
-        run — the sign that alpha/beta are too strict for the data and the
-        synthetic entities are silently drifting.
     degrade_text_on_divergence:
         When transformer text training diverges past its numeric guard's
         retry budget, fall back to :class:`RuleTextSynthesizer` for that
@@ -158,10 +150,7 @@ class SERDConfig:
     negative_ratio: float = 3.0
     hard_negative_fraction: float = 0.5
     label_all_pairs: bool = True
-    use_blocking_for_labeling: bool = False
     one_to_one_matches: bool = True
-    fallback_warn_threshold: float = 0.5
-    fallback_warn_min: int = 20
     degrade_text_on_divergence: bool = True
     degrade_gan_on_divergence: bool = True
     checkpoint_every: int = 50
@@ -186,11 +175,6 @@ class SERDConfig:
             raise ValueError("max_rejection_retries must be >= 1")
         if self.delta_sample_size < 1:
             raise ValueError("delta_sample_size must be >= 1")
-        if not 0.0 < self.fallback_warn_threshold <= 1.0:
-            raise ValueError(
-                "fallback_warn_threshold must be in (0, 1], got "
-                f"{self.fallback_warn_threshold}"
-            )
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.labeling_chunk_size < 1:

@@ -32,15 +32,16 @@ from repro.core.config import SERDConfig
 from repro.core.labeling import label_all_pairs
 from repro.core.rejection import DistributionTracker, RejectionPolicy
 from repro.core.sharding import (
+    JSD_STREAM,
+    ShardPools,
     ShardRun,
     ShardSpec,
     ShardStatsBus,
-    merged_o_syn,
+    merged_drift,
     plan_shards,
     shard_rng,
 )
 from repro.core.synthesis import EntityFactory
-from repro.distributions.divergence import pair_distribution_jsd
 from repro.distributions.mixture import PairDistribution
 from repro.gan.encoding import EntityEncoder
 from repro.gan.training import TabularGAN
@@ -58,7 +59,7 @@ from repro.runtime.health import (
 )
 from repro.runtime.integrity import CorruptArtifactError
 from repro.runtime.io import atomic_write_json, read_json
-from repro.schema.dataset import ERDataset, Pair
+from repro.schema.dataset import ERDataset
 from repro.schema.entity import Entity, Relation
 from repro.schema.types import AttributeType
 from repro.similarity.vector import SimilarityModel
@@ -85,6 +86,120 @@ class SynthesisOutput:
     # Per-stage health report (repro.runtime.health.HealthReport.to_dict()):
     # retries, NaN rollbacks, EM reseeds, rejection fallbacks, degradations.
     health: dict = field(default_factory=dict)
+
+
+# Rejection-livelock telemetry: once at least FALLBACK_WARN_MIN slots of a
+# run have completed and more than FALLBACK_WARN_THRESHOLD of them were
+# retry-exhausted fallbacks (every retry rejected, the least-drifting
+# candidate accepted anyway), the run emits one RuntimeWarning — the sign
+# that alpha/beta are too strict for the data.
+FALLBACK_WARN_THRESHOLD = 0.5
+FALLBACK_WARN_MIN = 20
+
+
+def _checkpointer(directory: str | os.PathLike | None) -> StageCheckpointer | None:
+    return StageCheckpointer(directory) if directory is not None else None
+
+
+@dataclass(kw_only=True)
+class _S2State(ShardPools):
+    """One S2 loop's state between slots.
+
+    ``to_payload``/``restore`` are the progress-checkpoint format; the
+    cadence fields after ``matched_ids`` are per-run and restart at zero on
+    resume (the cadence never consumes RNG, so that keeps resume exact).
+    """
+
+    spec: ShardSpec
+    rng: np.random.Generator
+    tracker: DistributionTracker
+    policy: RejectionPolicy
+    counter_a: int = 1
+    counter_b: int = 0
+    matched_ids: set[str] = field(default_factory=set)
+    since_checkpoint: int = 0
+    chunk_shift: int = 0
+    warned_fallback: bool = False
+
+    @property
+    def unfinished(self) -> bool:
+        return (
+            len(self.a_entities) < self.spec.n_a
+            or len(self.b_entities) < self.spec.n_b
+        )
+
+    def slot_for(self, anchor_side: str) -> tuple[str, str]:
+        """``(entity id, side)`` of the entity an anchor on ``anchor_side`` gets."""
+        if anchor_side == "a":
+            return f"{self.spec.id_prefix}b{self.counter_b}", "b"
+        return f"{self.spec.id_prefix}a{self.counter_a}", "a"
+
+    def commit(
+        self,
+        anchor_side: str,
+        anchor: Entity,
+        entity: Entity,
+        is_match: bool,
+        delta: np.ndarray,
+    ) -> None:
+        """S2-4: add the entity to its table, record the sampled label and
+        fold its ``Delta X_syn`` into O_syn."""
+        if anchor_side == "a":
+            self.b_entities.append(entity)
+            self.counter_b += 1
+            pair = (anchor.entity_id, entity.entity_id)
+        else:
+            self.a_entities.append(entity)
+            self.counter_a += 1
+            pair = (entity.entity_id, anchor.entity_id)
+        if is_match:
+            self.sampled_matches.append(pair)
+            self.matched_ids.add(anchor.entity_id)
+            self.matched_ids.add(entity.entity_id)
+        else:
+            self.sampled_non_matches.append(pair)
+        self.policy.commit(delta)
+        self.since_checkpoint += 1
+
+    def to_payload(self) -> dict:
+        return {
+            "n_a": self.spec.n_a,
+            "n_b": self.spec.n_b,
+            **self.pools_payload(),
+            "counter_a": self.counter_a,
+            "counter_b": self.counter_b,
+            "matched_ids": sorted(self.matched_ids),
+            "tracker": self.tracker.to_dict(),
+            "rejection_stats": dict(self.policy.stats),
+            # The steering signal in force when this checkpoint was cut: a
+            # resumed shard re-applies it so the resumed loop replays the
+            # same Eq. 10 decisions the killed one would have made.
+            "peer_jsd": self.policy.peer_jsd,
+            "peer_pairs": self.policy.peer_pairs,
+            "rng_state": rng_state(self.rng),
+        }
+
+    def restore(self, payload: dict, schema) -> None:
+        if payload["n_a"] != self.spec.n_a or payload["n_b"] != self.spec.n_b:
+            raise ValueError(
+                "s2 progress checkpoint was taken for sizes "
+                f"({payload['n_a']}, {payload['n_b']}); refusing to "
+                f"resume with ({self.spec.n_a}, {self.spec.n_b})"
+            )
+        for key, value in self.pools_from_payload(payload, schema).items():
+            setattr(self, key, value)
+        self.counter_a = int(payload["counter_a"])
+        self.counter_b = int(payload["counter_b"])
+        self.matched_ids = set(payload["matched_ids"])
+        self.tracker.restore(payload["tracker"])
+        self.policy.stats.update(
+            {k: int(v) for k, v in payload["rejection_stats"].items()}
+        )
+        if payload.get("peer_jsd") is not None:
+            self.policy.set_peer_feedback(
+                payload["peer_jsd"], int(payload.get("peer_pairs", 0))
+            )
+        restore_rng(self.rng, payload["rng_state"])
 
 
 _EXPORT_KEYS = (
@@ -192,9 +307,7 @@ class SERDSynthesizer:
         self.health = HealthReport()
         self._validate_fit_inputs(real)
         self._real = real
-        checkpointer = (
-            StageCheckpointer(checkpoint_dir) if checkpoint_dir is not None else None
-        )
+        checkpointer = _checkpointer(checkpoint_dir)
         if checkpointer is not None:
             recorded = checkpointer.get_meta("dataset")
             if recorded is not None and recorded != real.name:
@@ -664,51 +777,19 @@ class SERDSynthesizer:
     # ------------------------------------------------------------------
     # S2 + S3 (online phase)
     # ------------------------------------------------------------------
-    def synthesize(
-        self,
-        n_a: int | None = None,
-        n_b: int | None = None,
-        *,
-        checkpoint_dir: str | os.PathLike | None = None,
-        stop: Callable[[], bool] | None = None,
-    ) -> SynthesisOutput:
-        """Run the iterative synthesis loop and label all pairs.
-
-        Default sizes are the real tables' sizes (problem statement,
-        Section II-D).  With ``checkpoint_dir``, the S2 loop commits a
-        progress checkpoint (partial entity pools, sampled edges, the live
-        O_syn tracker and the RNG position) every
-        ``config.checkpoint_every`` accepted entities; an interrupted
-        synthesis resumes from the last checkpoint and produces the same
-        dataset an uninterrupted run would have.
-
-        ``stop`` is a cooperative cancellation predicate polled once per
-        synthesis slot.  When it trips, the loop commits a progress
-        checkpoint *first* (if a checkpoint directory is in use) and then
-        raises :class:`~repro.runtime.cancellation.SynthesisInterrupted` —
-        the graceful-shutdown path used by the CLI's SIGTERM handler and
-        the service workers' drain.
-        """
+    def target_sizes(self, n_a: int | None, n_b: int | None) -> tuple[int, int]:
+        """The guard every online entry point shares: the synthesizer is
+        fitted, omitted sizes default to the real tables' sizes (problem
+        statement, Section II-D), and both sizes are at least one."""
         if self.o_real is None or self.factory is None or self._real is None:
             raise RuntimeError("synthesizer is not fitted; call fit() first")
-        started = time.perf_counter()
-        real = self._real
-        n_a = n_a if n_a is not None else len(real.table_a)
-        n_b = n_b if n_b is not None else len(real.table_b)
+        n_a = n_a if n_a is not None else len(self._real.table_a)
+        n_b = n_b if n_b is not None else len(self._real.table_b)
         if n_a < 1 or n_b < 1:
             raise ValueError("both synthetic tables need at least one entity")
-        checkpointer = (
-            StageCheckpointer(checkpoint_dir) if checkpoint_dir is not None else None
-        )
-        spec = plan_shards(n_a, n_b, 1, self.config.seed)[0]
-        run = self._run_s2_shard(
-            spec, rng=self.rng, checkpointer=checkpointer, stop=stop
-        )
-        return self._assemble(
-            [run], n_a, n_b, checkpointer=checkpointer, started=started
-        )
+        return n_a, n_b
 
-    def synthesize_sharded(
+    def synthesize(
         self,
         n_a: int | None = None,
         n_b: int | None = None,
@@ -717,65 +798,60 @@ class SERDSynthesizer:
         checkpoint_dir: str | os.PathLike | None = None,
         stop: Callable[[], bool] | None = None,
     ) -> SynthesisOutput:
-        """Run S2 as a sequence of shards, then merge and label.
+        """Run the iterative synthesis loop (S2) and label all pairs (S3).
 
-        The in-process coordinator: the target sizes are split by
-        :func:`~repro.core.sharding.plan_shards`, each shard runs the S2
-        loop on its own RNG stream, completed shards feed their merged
-        O_syn drift forward to later shards (the same steering signal the
-        distributed coordinator broadcasts), and the merged pools go
-        through one S3 labeling pass.  Shards execute sequentially here —
-        the run is fully deterministic and resumable — while the service
-        path (``repro submit --shards N``) fans the same shard jobs out
-        across the worker pool.
+        ``n_shards`` splits the target sizes with
+        :func:`~repro.core.sharding.plan_shards`; the shards run one after
+        another, each on its own RNG stream, and every finished shard's
+        O_syn drift steers the shards after it (the signal the service's
+        coordinator broadcasts).  The merged pools go through one S3 pass.
+        A plan of one shard is the unsharded loop on the master RNG.
 
-        With ``n_shards=1`` this *is* :meth:`synthesize` — same RNG
-        stream, same entity ids, bit-identical output.
+        With ``checkpoint_dir``, the S2 loop commits a progress checkpoint
+        (partial entity pools, sampled edges, the live O_syn tracker and
+        the RNG position) every ``config.checkpoint_every`` accepted
+        entities, and each finished shard of a multi-shard plan commits an
+        ``s2_shard<k>_result`` stage.  An interrupted synthesis resumes from
+        the last checkpoint and produces the same dataset an uninterrupted
+        run would have.
 
-        With ``checkpoint_dir``, each completed shard commits a
-        ``s2_shard<k>_result`` stage and an in-flight shard checkpoints
-        progress as ``s2_progress_shard<k>``; resuming skips completed
-        shards entirely and continues the interrupted one mid-loop.
+        ``stop`` is a cooperative cancellation predicate polled once per
+        synthesis slot.  When it trips, the loop commits a progress
+        checkpoint *first* (if a checkpoint directory is in use) and then
+        raises :class:`~repro.runtime.cancellation.SynthesisInterrupted` —
+        the graceful-shutdown path used by the CLI's SIGTERM handler and
+        the service workers' drain.
         """
-        if self.o_real is None or self.factory is None or self._real is None:
-            raise RuntimeError("synthesizer is not fitted; call fit() first")
+        n_a, n_b = self.target_sizes(n_a, n_b)
         started = time.perf_counter()
-        real = self._real
-        n_a = n_a if n_a is not None else len(real.table_a)
-        n_b = n_b if n_b is not None else len(real.table_b)
-        if n_a < 1 or n_b < 1:
-            raise ValueError("both synthetic tables need at least one entity")
+        checkpointer = _checkpointer(checkpoint_dir)
         plan = plan_shards(n_a, n_b, n_shards, self.config.seed)
-        checkpointer = (
-            StageCheckpointer(checkpoint_dir) if checkpoint_dir is not None else None
-        )
-        if len(plan) == 1:
-            run = self._run_s2_shard(
-                plan[0], rng=self.rng, checkpointer=checkpointer, stop=stop
-            )
-            return self._assemble(
-                [run], n_a, n_b, checkpointer=checkpointer, started=started
-            )
         runs: list[ShardRun] = []
         for spec in plan:
-            result_stage = f"s2_shard{spec.index}_result"
+            # Shards of one plan share the checkpoint directory, so their
+            # stages are suffixed; a lone shard keeps the plain names.
+            suffix = f"_shard{spec.index}" if len(plan) > 1 else ""
+            result_stage = f"s2{suffix}_result"
+            keep_result = bool(suffix) and checkpointer is not None
             # A corrupt shard-result checkpoint quarantines and falls
             # through to re-running the shard (load_or_none policy).
-            if checkpointer is not None:
-                payload = checkpointer.load_or_none(result_stage)
-                if payload is not None:
-                    runs.append(ShardRun.from_payload(payload, real.schema))
-                    continue
+            payload = checkpointer.load_or_none(result_stage) if keep_result else None
+            if payload is not None:
+                runs.append(ShardRun.from_payload(payload, self._real.schema))
+                continue
             run = self._run_s2_shard(
                 spec,
-                rng=shard_rng(spec),
                 checkpointer=checkpointer,
-                stage=f"s2_progress_shard{spec.index}",
+                stage=f"s2_progress{suffix}",
                 stop=stop,
-                peer_feedback=self._peer_feedback(runs),
-                record_name=f"s2_synthesis_shard{spec.index}",
+                peer_feedback=merged_drift(
+                    [done.tracker_state for done in runs],
+                    self.o_labeling,
+                    self.config,
+                ),
+                record_name=f"s2_synthesis{suffix}",
             )
-            if checkpointer is not None:
+            if keep_result:
                 checkpointer.commit(result_stage, run.to_payload())
             runs.append(run)
         return self._assemble(
@@ -789,30 +865,18 @@ class SERDSynthesizer:
         checkpoint_dir: str | os.PathLike | None = None,
         stop: Callable[[], bool] | None = None,
         bus: ShardStatsBus | None = None,
-        peer_feedback: tuple[float, int] | None = None,
     ) -> ShardRun:
         """Run the S2 loop for one shard only (no S3, no dataset assembly).
 
         This is the unit of work a shard *worker* executes: the shard's RNG
         stream is derived from its spec (single-shard specs reuse the master
-        RNG, preserving sequential bit-identity), progress checkpoints go to
-        ``checkpoint_dir`` under the standard ``s2_progress`` stage, and
-        ``bus`` — when given — carries the periodic O_syn publish/steer
-        exchange with the coordinator.
+        RNG), progress checkpoints go to ``checkpoint_dir`` under the
+        standard ``s2_progress`` stage, and ``bus`` — when given — carries
+        the periodic O_syn publish/steer exchange with the coordinator.
         """
-        if self.o_real is None or self.factory is None or self._real is None:
-            raise RuntimeError("synthesizer is not fitted; call fit() first")
-        rng = self.rng if spec.n_shards == 1 else shard_rng(spec)
-        checkpointer = (
-            StageCheckpointer(checkpoint_dir) if checkpoint_dir is not None else None
-        )
+        self.target_sizes(spec.n_a, spec.n_b)
         return self._run_s2_shard(
-            spec,
-            rng=rng,
-            checkpointer=checkpointer,
-            stop=stop,
-            bus=bus,
-            peer_feedback=peer_feedback,
+            spec, checkpointer=_checkpointer(checkpoint_dir), stop=stop, bus=bus
         )
 
     def assemble_shard_runs(
@@ -831,317 +895,238 @@ class SERDSynthesizer:
         from the *merged* O_syn.  ``online_seconds`` covers only assembly;
         per-shard loop timings live in each run.
         """
-        if self.o_real is None or self._real is None:
-            raise RuntimeError("synthesizer is not fitted; call fit() first")
-        checkpointer = (
-            StageCheckpointer(checkpoint_dir) if checkpoint_dir is not None else None
-        )
+        n_a, n_b = self.target_sizes(n_a, n_b)
         return self._assemble(
-            runs, n_a, n_b, checkpointer=checkpointer, started=time.perf_counter()
+            runs, n_a, n_b,
+            checkpointer=_checkpointer(checkpoint_dir),
+            started=time.perf_counter(),
         )
-
-    def _peer_feedback(self, runs: list[ShardRun]) -> tuple[float, int] | None:
-        """Steering signal for the next shard: merged drift of finished ones."""
-        if not runs:
-            return None
-        states = [run.tracker_state for run in runs]
-        merged = merged_o_syn(states)
-        if merged is None:
-            return None
-        jsd = pair_distribution_jsd(
-            merged, self.o_labeling,
-            seed=self.config.seed + 23, n_samples=self.config.jsd_samples,
-        )
-        n_pairs = sum(int(s["n_pos"]) + int(s["n_neg"]) for s in states)
-        return jsd, n_pairs
 
     def _run_s2_shard(
         self,
         spec: ShardSpec,
         *,
-        rng: np.random.Generator,
         checkpointer: StageCheckpointer | None = None,
         stage: str = "s2_progress",
         stop: Callable[[], bool] | None = None,
         bus: ShardStatsBus | None = None,
-        peer_feedback: tuple[float, int] | None = None,
+        peer_feedback: tuple[float | None, int] = (None, 0),
         record_name: str = "s2_synthesis",
     ) -> ShardRun:
         """The S2 loop over one shard's slice of the target sizes.
 
-        This is the sequential loop, verbatim, parameterized by the shard's
-        RNG stream, id namespace, checkpoint stage and steering inputs — a
-        single-shard spec with the master RNG reproduces the pre-shard loop
-        bit for bit.  Peer feedback is applied only at loop start and at
-        checkpoint boundaries, and the active value is recorded in every
-        progress payload, so a killed shard resumes with exactly the
-        steering signal it was using — that is what keeps crash/resume
-        bit-identical even though the signal itself evolves.
+        One loop, parameterized by the shard's RNG stream, id namespace,
+        checkpoint stage and steering inputs, in stages: open (resume or
+        cold start), then per slot a checkpoint step, picking an anchor and
+        a vector, synthesis under rejection, and the commit.  Peer feedback
+        is applied only at loop start and at checkpoint boundaries, and the
+        active value is recorded in every progress payload, so a killed
+        shard resumes with exactly the steering signal it was using — that
+        is what keeps crash/resume bit-identical even though the signal
+        itself evolves.
         """
         started = time.perf_counter()
-        real = self._real
-        n_a, n_b = spec.n_a, spec.n_b
-        prefix = spec.id_prefix
         record = self.health.stage(record_name)
         record.status = RUNNING
+        state = self._s2_open(spec, checkpointer, stage, peer_feedback, record)
+        while state.unfinished:
+            self._s2_checkpoint(state, checkpointer, stage, stop, bus, record_name)
+            faults.maybe_interrupt("synthesize.step")
+            faults.maybe_stall("synthesize.stall")
+            is_match, side, pool, anchor, vector = self._s2_pick(state)
+            new_id, new_side = state.slot_for(side)
+            entity, delta, is_fallback = self._synthesize_with_rejection(
+                anchor, vector, new_id, new_side, pool, state.policy, is_match,
+                state.rng,
+            )
+            if is_fallback:
+                self._s2_fallback(state)
+            state.commit(side, anchor, entity, is_match, delta)
 
+        if checkpointer is not None:
+            # The loop finished; the progress checkpoint is consumed.
+            checkpointer.clear(stage)
+        if bus is not None:
+            self._sync_shard_bus(bus, state, done=True)
+        for key, value in state.policy.stats.items():
+            record.increment(key, value)
+        elapsed = time.perf_counter() - started
+        self.health.mark(record_name, COMPLETED, elapsed)
+        return ShardRun(
+            spec=spec,
+            a_entities=state.a_entities,
+            b_entities=state.b_entities,
+            sampled_matches=state.sampled_matches,
+            sampled_non_matches=state.sampled_non_matches,
+            rejection_stats=dict(state.policy.stats),
+            tracker_state=state.tracker.to_dict(),
+            elapsed_seconds=elapsed,
+            peak_rss_kb=int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+        )
+
+    def _s2_open(
+        self,
+        spec: ShardSpec,
+        checkpointer: StageCheckpointer | None,
+        stage: str,
+        peer_feedback: tuple[float | None, int],
+        record: StageHealth,
+    ) -> "_S2State":
+        """The loop's starting state: resumed from the stage's progress
+        checkpoint when one is committed, else cold-started with the first
+        A-entity.  A one-shard spec runs on the master RNG."""
+        rng = self.rng if spec.n_shards == 1 else shard_rng(spec)
         # Rejection and S3 labeling both score *cross* pairs, so they use the
         # all-pairs prior (see fit()); S2 sampling keeps the labeled-set pi.
         tracker = DistributionTracker(self.o_labeling, self.config, rng)
         policy = RejectionPolicy(
             self.config, tracker,
             self.gan if self.config.reject_entities else None,
-            jsd_seed=self.config.seed + 23,
+            jsd_seed=self.config.seed + JSD_STREAM,
             plausibility_floor=self.plausibility_floor,
         )
-        if peer_feedback is not None:
-            policy.set_peer_feedback(peer_feedback[0], peer_feedback[1])
-
-        a_entities: list[Entity] = []
-        b_entities: list[Entity] = []
-        sampled_matches: list[Pair] = []
-        sampled_non_matches: list[Pair] = []
-        counter_a, counter_b = 1, 0
-        matched_ids: set[str] = set()
-
-        progress = None
-        if checkpointer is not None:
-            # Corrupt S2 progress quarantines and restarts the shard from
-            # entity zero — slower, never wrong.
-            progress = checkpointer.load_or_none(stage)
+        policy.set_peer_feedback(*peer_feedback)
+        state = _S2State(spec=spec, rng=rng, tracker=tracker, policy=policy)
+        # Corrupt S2 progress quarantines and restarts the shard from
+        # entity zero — slower, never wrong.
+        progress = (
+            checkpointer.load_or_none(stage) if checkpointer is not None else None
+        )
         if progress is not None:
-            if progress["n_a"] != n_a or progress["n_b"] != n_b:
-                raise ValueError(
-                    "s2 progress checkpoint was taken for sizes "
-                    f"({progress['n_a']}, {progress['n_b']}); refusing to "
-                    f"resume with ({n_a}, {n_b})"
-                )
-        if progress is not None:
-            a_entities = self._entities_from_payload(progress["a_entities"], real)
-            b_entities = self._entities_from_payload(progress["b_entities"], real)
-            sampled_matches = [tuple(p) for p in progress["sampled_matches"]]
-            sampled_non_matches = [tuple(p) for p in progress["sampled_non_matches"]]
-            counter_a = int(progress["counter_a"])
-            counter_b = int(progress["counter_b"])
-            matched_ids = set(progress["matched_ids"])
-            tracker.restore(progress["tracker"])
-            policy.stats.update(
-                {k: int(v) for k, v in progress["rejection_stats"].items()}
+            state.restore(progress, self._real.schema)
+            record.increment(
+                "resumed_entities", len(state.a_entities) + len(state.b_entities)
             )
-            if progress.get("peer_jsd") is not None:
-                policy.set_peer_feedback(
-                    progress["peer_jsd"], int(progress.get("peer_pairs", 0))
-                )
-            restore_rng(rng, progress["rng_state"])
-            record.increment("resumed_entities", len(a_entities) + len(b_entities))
         else:
-            # Cold start: the first A-entity.
-            a_entities.append(
+            state.a_entities.append(
                 cold_start_entity(
-                    real.schema,
+                    self._real.schema,
                     self.similarity_model.ranges,
                     self._categorical_values["a"],
                     self._background,
                     rng,
-                    entity_id=f"{prefix}a0",
+                    entity_id=f"{spec.id_prefix}a0",
                     gan=self.gan,
                 )
             )
+        return state
 
-        warned_fallback = False
-        accepted_since_checkpoint = 0
-        # Memory degradation ladder (see repro.runtime.resources): the
-        # governor classifies pressure at checkpoint boundaries; the shift
-        # is deliberately *per-run* local state, so one pathological job
-        # cannot permanently shrink the chunk size for every later job in
-        # this worker process.  Checkpoint cadence never consumes RNG, so
-        # downshifting keeps the output bit-identical.
-        governor = resources.installed()
-        chunk_shift = 0
-        while len(a_entities) < n_a or len(b_entities) < n_b:
-            if stop is not None and stop():
-                if checkpointer is not None:
-                    checkpointer.commit(
-                        stage,
-                        self._s2_progress_payload(
-                            n_a, n_b, a_entities, b_entities,
-                            sampled_matches, sampled_non_matches,
-                            counter_a, counter_b, matched_ids, tracker, policy,
-                            rng,
-                        ),
-                    )
-                raise SynthesisInterrupted(
-                    record_name, checkpointed=checkpointer is not None
-                )
-            checkpoint_every = max(
-                resources.MIN_CHUNK, self.config.checkpoint_every >> chunk_shift
-            )
-            if (
-                accepted_since_checkpoint >= checkpoint_every
-                and (checkpointer is not None or bus is not None)
-            ):
-                if bus is not None:
-                    self._sync_shard_bus(bus, spec, tracker, policy, done=False)
-                if checkpointer is not None:
-                    checkpointer.commit(
-                        stage,
-                        self._s2_progress_payload(
-                            n_a, n_b, a_entities, b_entities,
-                            sampled_matches, sampled_non_matches,
-                            counter_a, counter_b, matched_ids, tracker, policy,
-                            rng,
-                        ),
-                    )
-                accepted_since_checkpoint = 0
-                if governor is not None:
-                    level = governor.sample_memory(
-                        entities=len(a_entities) + len(b_entities)
-                    )
-                    if level != "ok":
-                        step = 1 if level == "soft" else 2
-                        if (
-                            level == "hard"
-                            and chunk_shift >= governor.budget.max_downshifts
-                        ):
-                            # Shrinking can't absorb it.  The checkpoint just
-                            # committed, so checkpoint-and-release (the
-                            # worker's mapping for this error) resumes the
-                            # job elsewhere without losing progress.
-                            raise resources.ResourceExhausted(
-                                "memory",
-                                "memory budget breached after "
-                                f"{chunk_shift} downshift(s): observed "
-                                f"{governor.peak_observed_mb():.0f} MB vs "
-                                f"budget {governor.budget.memory_budget_mb} MB",
-                                budget_mb=governor.budget.memory_budget_mb,
-                                observed_mb=governor.peak_observed_mb(),
-                            )
-                        new_shift = min(
-                            chunk_shift + step, governor.budget.max_downshifts
-                        )
-                        if new_shift > chunk_shift:
-                            chunk_shift = new_shift
-                            resources.count_event("chunk_downshifts")
-            faults.maybe_interrupt("synthesize.step")
-            faults.maybe_stall("synthesize.stall")
+    def _s2_checkpoint(
+        self,
+        state: "_S2State",
+        checkpointer: StageCheckpointer | None,
+        stage: str,
+        stop: Callable[[], bool] | None,
+        bus: ShardStatsBus | None,
+        record_name: str,
+    ) -> None:
+        """The loop's one durable step, taken before every slot.
 
-            # S2-2 (label part): decide match vs non-match at the match-edge
-            # rate (see fit()).
-            is_match = bool(rng.random() < self.match_edge_rate)
-
-            # S2-1: sample e from the union, restricted to sides whose
-            # opposite table still needs entities (Section III, Remark 1).
-            # For a match edge, prefer anchors with no match yet so the
-            # synthetic matching stays (near) one-to-one like real data.
-            sources: list[tuple[str, list[Entity]]] = []
-            if len(b_entities) < n_b and a_entities:
-                sources.append(("a", a_entities))
-            if len(a_entities) < n_a and b_entities:
-                sources.append(("b", b_entities))
-            if not sources:  # pragma: no cover - loop condition guards this
-                break
-            if is_match and self.config.one_to_one_matches:
-                filtered = [
-                    (side, [e for e in pool if e.entity_id not in matched_ids])
-                    for side, pool in sources
-                ]
-                filtered = [(side, pool) for side, pool in filtered if pool]
-                if filtered:
-                    sources = filtered
-                else:
-                    is_match = False
-            weights = np.array([len(pool) for _, pool in sources], dtype=float)
-            side, pool = sources[
-                int(rng.choice(len(sources), p=weights / weights.sum()))
-            ]
-            anchor = pool[int(rng.integers(len(pool)))]
-
-            # S2-2 (vector part): sample the similarity vector from O_real.
-            source = (
-                self.o_real.match_distribution
-                if is_match
-                else self.o_real.non_match_distribution
-            )
-            vector = np.clip(source.sample(1, rng)[0], 0.0, 1.0)
-
-            # S2-3 with rejection (Section V): retry until accepted.
-            if side == "a":
-                new_id, new_side = f"{prefix}b{counter_b}", "b"
-            else:
-                new_id, new_side = f"{prefix}a{counter_a}", "a"
-            accepted_entity, delta, is_fallback = self._synthesize_with_rejection(
-                anchor, vector, new_id, new_side, pool, policy, is_match, rng
-            )
-            if is_fallback:
-                policy.record_fallback()
-                if (
-                    not warned_fallback
-                    and policy.stats["accepted"] + policy.stats["fallback_accepted"]
-                    >= self.config.fallback_warn_min
-                    and policy.fallback_rate > self.config.fallback_warn_threshold
-                ):
-                    warned_fallback = True
-                    warnings.warn(
-                        f"rejection livelock: {policy.stats['fallback_accepted']} "
-                        f"of {policy.stats['accepted'] + policy.stats['fallback_accepted']} "
-                        "synthesis slots exhausted their retries and accepted "
-                        "the least-drifting candidate anyway "
-                        f"(rate {policy.fallback_rate:.2f} > "
-                        f"{self.config.fallback_warn_threshold}); the synthetic "
-                        "entities may be drifting from O_real — consider "
-                        "relaxing alpha/beta or raising max_rejection_retries",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-
-            # S2-4: add to the right table and record the sampled label.
-            if side == "a":
-                b_entities.append(accepted_entity)
-                counter_b += 1
-                pair = (anchor.entity_id, accepted_entity.entity_id)
-            else:
-                a_entities.append(accepted_entity)
-                counter_a += 1
-                pair = (accepted_entity.entity_id, anchor.entity_id)
-            if is_match:
-                sampled_matches.append(pair)
-                matched_ids.add(anchor.entity_id)
-                matched_ids.add(accepted_entity.entity_id)
-            else:
-                sampled_non_matches.append(pair)
-            policy.commit(delta)
-            accepted_since_checkpoint += 1
-
+        A stop request commits progress and raises
+        :class:`SynthesisInterrupted`.  Otherwise, every
+        ``checkpoint_every >> chunk_shift`` accepted entities, the shard
+        syncs with the stats bus, commits progress and takes one rung of
+        the memory ladder (:meth:`ResourceGovernor.downshift`, which raises
+        :class:`ResourceExhausted` only after this commit).  The cadence
+        never consumes RNG, so downshifting keeps the output bit-identical.
+        """
+        stopping = stop is not None and stop()
+        every = max(
+            resources.MIN_CHUNK, self.config.checkpoint_every >> state.chunk_shift
+        )
+        due = state.since_checkpoint >= every and (
+            checkpointer is not None or bus is not None
+        )
+        if not (stopping or due):
+            return
+        if bus is not None and not stopping:
+            self._sync_shard_bus(bus, state, done=False)
         if checkpointer is not None:
-            # The loop finished; the progress checkpoint is consumed.
-            checkpointer.clear(stage)
-        if bus is not None:
-            self._sync_shard_bus(bus, spec, tracker, policy, done=True)
+            checkpointer.commit(stage, state.to_payload())
+        if stopping:
+            raise SynthesisInterrupted(
+                record_name, checkpointed=checkpointer is not None
+            )
+        state.since_checkpoint = 0
+        governor = resources.installed()
+        if governor is not None:
+            state.chunk_shift = governor.downshift(
+                state.chunk_shift,
+                entities=len(state.a_entities) + len(state.b_entities),
+            )
 
-        for key, value in policy.stats.items():
-            record.increment(key, value)
-        elapsed = time.perf_counter() - started
-        self.health.mark(record_name, COMPLETED, elapsed)
-        return ShardRun(
-            spec=spec,
-            a_entities=a_entities,
-            b_entities=b_entities,
-            sampled_matches=sampled_matches,
-            sampled_non_matches=sampled_non_matches,
-            rejection_stats=dict(policy.stats),
-            tracker_state=tracker.to_dict(),
-            elapsed_seconds=elapsed,
-            peak_rss_kb=int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+    def _s2_pick(
+        self, state: "_S2State"
+    ) -> tuple[bool, str, list[Entity], Entity, np.ndarray]:
+        """S2-1/S2-2: the edge label, the anchor's side, pool and entity,
+        and the similarity vector the new entity must realize."""
+        rng = state.rng
+        # S2-2 (label part): decide match vs non-match at the match-edge
+        # rate (see fit()).
+        is_match = bool(rng.random() < self.match_edge_rate)
+
+        # S2-1: sample e from the union, restricted to sides whose
+        # opposite table still needs entities (Section III, Remark 1).
+        # For a match edge, prefer anchors with no match yet so the
+        # synthetic matching stays (near) one-to-one like real data.
+        sources: list[tuple[str, list[Entity]]] = []
+        if len(state.b_entities) < state.spec.n_b and state.a_entities:
+            sources.append(("a", state.a_entities))
+        if len(state.a_entities) < state.spec.n_a and state.b_entities:
+            sources.append(("b", state.b_entities))
+        if is_match and self.config.one_to_one_matches:
+            filtered = [
+                (side, [e for e in pool if e.entity_id not in state.matched_ids])
+                for side, pool in sources
+            ]
+            filtered = [(side, pool) for side, pool in filtered if pool]
+            if filtered:
+                sources = filtered
+            else:
+                is_match = False
+        weights = np.array([len(pool) for _, pool in sources], dtype=float)
+        side, pool = sources[
+            int(rng.choice(len(sources), p=weights / weights.sum()))
+        ]
+        anchor = pool[int(rng.integers(len(pool)))]
+
+        # S2-2 (vector part): sample the similarity vector from O_real.
+        source = (
+            self.o_real.match_distribution
+            if is_match
+            else self.o_real.non_match_distribution
+        )
+        vector = np.clip(source.sample(1, rng)[0], 0.0, 1.0)
+        return is_match, side, pool, anchor, vector
+
+    @staticmethod
+    def _s2_fallback(state: "_S2State") -> None:
+        """Count a retry-exhausted slot; warn once per run when their rate
+        crosses ``FALLBACK_WARN_THRESHOLD`` (rejection livelock)."""
+        policy = state.policy
+        policy.record_fallback()
+        slots = policy.stats["accepted"] + policy.stats["fallback_accepted"]
+        if (
+            state.warned_fallback
+            or slots < FALLBACK_WARN_MIN
+            or policy.fallback_rate <= FALLBACK_WARN_THRESHOLD
+        ):
+            return
+        state.warned_fallback = True
+        warnings.warn(
+            f"rejection livelock: {policy.stats['fallback_accepted']} "
+            f"of {slots} synthesis slots exhausted their retries and accepted "
+            "the least-drifting candidate anyway "
+            f"(rate {policy.fallback_rate:.2f} > {FALLBACK_WARN_THRESHOLD}); "
+            "the synthetic entities may be drifting from O_real — consider "
+            "relaxing alpha/beta or raising max_rejection_retries",
+            RuntimeWarning,
+            stacklevel=3,
         )
 
+    @staticmethod
     def _sync_shard_bus(
-        self,
-        bus: ShardStatsBus,
-        spec: ShardSpec,
-        tracker: DistributionTracker,
-        policy: RejectionPolicy,
-        *,
-        done: bool,
+        bus: ShardStatsBus, state: "_S2State", *, done: bool
     ) -> None:
         """One publish/steer exchange with the coordinator's stats bus.
 
@@ -1152,17 +1137,17 @@ class SERDSynthesizer:
         """
         feedback = bus.read_global()
         if feedback is not None:
-            entry = feedback.get("shard_feedback", {}).get(str(spec.index))
+            entry = feedback.get("shard_feedback", {}).get(str(state.spec.index))
             if entry is not None and entry.get("jsd") is not None:
-                policy.set_peer_feedback(
+                state.policy.set_peer_feedback(
                     float(entry["jsd"]), int(entry.get("n_pairs", 0))
                 )
         bus.publish_shard(
-            spec.index,
+            state.spec.index,
             {
-                "tracker": tracker.to_dict(),
-                "n_pos": tracker.n_pos,
-                "n_neg": tracker.n_neg,
+                "tracker": state.tracker.to_dict(),
+                "n_pos": state.tracker.n_pos,
+                "n_neg": state.tracker.n_neg,
                 "done": done,
             },
         )
@@ -1204,19 +1189,12 @@ class SERDSynthesizer:
                 round(self.o_labeling.match_probability * n_a * n_b)
             )
             budget = max(0, expected_total - len(sampled_matches))
-            blocker = None
-            if self.config.use_blocking_for_labeling and any(
-                attr.attr_type.is_string_like for attr in real.schema
-            ):
-                from repro.similarity.candidates import TokenBlocker
-
-                blocker = TokenBlocker(real.schema)
             extra_matches, n_labeled = label_all_pairs(
                 table_a, table_b, known, self.o_labeling, self.similarity_model,
                 batch_size=resources.effective_label_batch(
                     self.config.labeling_chunk_size
                 ),
-                max_matches=budget, blocker=blocker,
+                max_matches=budget,
             )
             matches.extend(extra_matches)
         labeling_record.increment("posterior_labeled", n_labeled)
@@ -1229,13 +1207,9 @@ class SERDSynthesizer:
             non_matches=sampled_non_matches,
             name=f"{real.name}_syn",
         )
-        jsd_final = None
-        merged = merged_o_syn([run.tracker_state for run in runs])
-        if merged is not None:
-            jsd_final = pair_distribution_jsd(
-                merged, self.o_labeling,
-                seed=self.config.seed + 23, n_samples=self.config.jsd_samples,
-            )
+        jsd_final, _ = merged_drift(
+            [run.tracker_state for run in runs], self.o_labeling, self.config
+        )
         epsilon = None
         if self.config.text_backend == "transformer" and self.config.dp is not None:
             epsilons = [
@@ -1283,54 +1257,6 @@ class SERDSynthesizer:
             extras=extras,
             health=health_payload,
         )
-
-    # ------------------------------------------------------------------
-    # S2 progress serialization
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _entities_to_payload(entities: list[Entity]) -> list:
-        return [[e.entity_id, list(e.values)] for e in entities]
-
-    @staticmethod
-    def _entities_from_payload(payload: list, real: ERDataset) -> list[Entity]:
-        return [
-            Entity(entity_id, real.schema, values) for entity_id, values in payload
-        ]
-
-    def _s2_progress_payload(
-        self,
-        n_a: int,
-        n_b: int,
-        a_entities: list[Entity],
-        b_entities: list[Entity],
-        sampled_matches: list[Pair],
-        sampled_non_matches: list[Pair],
-        counter_a: int,
-        counter_b: int,
-        matched_ids: set[str],
-        tracker: DistributionTracker,
-        policy: RejectionPolicy,
-        rng: np.random.Generator,
-    ) -> dict:
-        return {
-            "n_a": n_a,
-            "n_b": n_b,
-            "a_entities": self._entities_to_payload(a_entities),
-            "b_entities": self._entities_to_payload(b_entities),
-            "sampled_matches": [list(p) for p in sampled_matches],
-            "sampled_non_matches": [list(p) for p in sampled_non_matches],
-            "counter_a": counter_a,
-            "counter_b": counter_b,
-            "matched_ids": sorted(matched_ids),
-            "tracker": tracker.to_dict(),
-            "rejection_stats": dict(policy.stats),
-            # The steering signal in force when this checkpoint was cut: a
-            # resumed shard re-applies it so the resumed loop replays the
-            # same Eq. 10 decisions the killed one would have made.
-            "peer_jsd": policy.peer_jsd,
-            "peer_pairs": policy.peer_pairs,
-            "rng_state": rng_state(rng),
-        }
 
     def _synthesize_with_rejection(
         self,

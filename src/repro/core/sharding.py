@@ -1,23 +1,24 @@
 """Shard planning, merging and cross-shard statistics for S2 synthesis.
 
-The sequential S2 loop synthesizes ``n_a + n_b`` entities one at a time.  To
-scale past one core, the target sizes are partitioned into :class:`ShardSpec`
-slices; each shard runs the *same* loop over its slice with its own RNG
-stream, entity-id namespace and progress checkpoint, and the per-shard
-results are merged back into one dataset before S3 labeling.
+The S2 loop synthesizes ``n_a + n_b`` entities one at a time.  To scale past
+one core, the target sizes are partitioned into :class:`ShardSpec` slices;
+each shard runs the *same* loop over its slice with its own RNG stream,
+entity-id namespace and progress checkpoint, and the per-shard results are
+merged back into one dataset before S3 labeling.  There is one entry point,
+``SERDSynthesizer.synthesize(n_a, n_b, n_shards=k)``; the service runs the
+same shards as queue jobs (``repro submit --shards k``).
 
 Single-shard plans are the equivalence oracle: ``plan_shards(n_a, n_b, 1)``
-produces a spec whose id prefix and RNG are exactly the sequential loop's,
-so a one-shard "sharded" run is bit-identical to :meth:`SERDSynthesizer.
-synthesize` by construction.
+produces a spec whose id prefix and RNG are exactly the unsharded loop's,
+so ``n_shards=1`` output does not depend on sharding at all.
 
 Cross-shard steering: each shard periodically publishes its live O_syn
 sufficient statistics (:class:`~repro.distributions.incremental.
 IncrementalGMM` dumps) through a :class:`ShardStatsBus`; the coordinator
-merges them into a global mixture (:func:`merged_o_syn`), estimates the
-global drift ``JSD(O_syn_global, O_real)`` and rebroadcasts it, so each
-shard's Eq. 10 baseline blends its local drift with its peers' instead of
-steering toward a purely local optimum.
+merges them into a global mixture and estimates the global drift
+``JSD(O_syn_global, O_real)`` (:func:`merged_drift`), and rebroadcasts it,
+so each shard's Eq. 10 baseline blends its local drift with its peers'
+instead of steering toward a purely local optimum.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.distributions.divergence import pair_distribution_jsd
 from repro.distributions.gaussian import GaussianComponent
 from repro.distributions.gmm import GaussianMixture
 from repro.distributions.mixture import PairDistribution
@@ -35,8 +37,13 @@ from repro.schema.entity import Entity
 
 # Salt for per-shard RNG streams: keeps shard streams disjoint from every
 # other derived stream in the pipeline (GAN seed+1, background seed+17,
-# JSD seed+23) without colliding for any (seed, index) pair.
+# JSD_STREAM) without colliding for any (seed, index) pair.
 _SHARD_STREAM = 0x5E4D
+
+#: Salt of the JSD estimator's sample stream (``seed + JSD_STREAM``): Eq. 10
+#: inside the loop, peer feedback and the reported ``jsd_final`` all draw
+#: their Monte-Carlo points from it.
+JSD_STREAM = 23
 
 
 @dataclass(frozen=True)
@@ -125,54 +132,72 @@ def shard_rng(spec: ShardSpec) -> np.random.Generator:
 
 
 @dataclass
-class ShardRun:
+class ShardPools:
+    """Entity pools and sampled edges: the part of every S2 payload that
+    holds entities (progress checkpoints and shard results alike)."""
+
+    a_entities: list[Entity] = field(default_factory=list)
+    b_entities: list[Entity] = field(default_factory=list)
+    sampled_matches: list[tuple[str, str]] = field(default_factory=list)
+    sampled_non_matches: list[tuple[str, str]] = field(default_factory=list)
+
+    def pools_payload(self) -> dict:
+        return {
+            "a_entities": [[e.entity_id, list(e.values)] for e in self.a_entities],
+            "b_entities": [[e.entity_id, list(e.values)] for e in self.b_entities],
+            "sampled_matches": [list(p) for p in self.sampled_matches],
+            "sampled_non_matches": [list(p) for p in self.sampled_non_matches],
+        }
+
+    @staticmethod
+    def pools_from_payload(payload: dict, schema) -> dict:
+        """Constructor keywords for the pools of a ``pools_payload`` dump."""
+        return {
+            "a_entities": [
+                Entity(eid, schema, values) for eid, values in payload["a_entities"]
+            ],
+            "b_entities": [
+                Entity(eid, schema, values) for eid, values in payload["b_entities"]
+            ],
+            "sampled_matches": [tuple(p) for p in payload["sampled_matches"]],
+            "sampled_non_matches": [tuple(p) for p in payload["sampled_non_matches"]],
+        }
+
+
+@dataclass(kw_only=True)
+class ShardRun(ShardPools):
     """The S2 loop's output for one shard (entities, edges, O_syn state)."""
 
     spec: ShardSpec
-    a_entities: list[Entity]
-    b_entities: list[Entity]
-    sampled_matches: list[tuple[str, str]]
-    sampled_non_matches: list[tuple[str, str]]
     rejection_stats: dict[str, int]
     tracker_state: dict
     elapsed_seconds: float = 0.0
     peak_rss_kb: int = 0
-    extras: dict = field(default_factory=dict)
 
     def to_payload(self) -> dict:
         """JSON-serializable dump (shard result files, checkpoint stages)."""
         return {
             "spec": self.spec.to_dict(),
-            "a_entities": [[e.entity_id, list(e.values)] for e in self.a_entities],
-            "b_entities": [[e.entity_id, list(e.values)] for e in self.b_entities],
-            "sampled_matches": [list(p) for p in self.sampled_matches],
-            "sampled_non_matches": [list(p) for p in self.sampled_non_matches],
+            **self.pools_payload(),
             "rejection_stats": dict(self.rejection_stats),
             "tracker": self.tracker_state,
             "elapsed_seconds": self.elapsed_seconds,
             "peak_rss_kb": self.peak_rss_kb,
-            "extras": self.extras,
         }
 
     @classmethod
     def from_payload(cls, payload: dict, schema) -> "ShardRun":
+        # Results written before ``extras`` was dropped still carry the
+        # (always empty) key; it is ignored like any other unknown key.
         return cls(
             spec=ShardSpec.from_dict(payload["spec"]),
-            a_entities=[
-                Entity(eid, schema, values) for eid, values in payload["a_entities"]
-            ],
-            b_entities=[
-                Entity(eid, schema, values) for eid, values in payload["b_entities"]
-            ],
-            sampled_matches=[tuple(p) for p in payload["sampled_matches"]],
-            sampled_non_matches=[tuple(p) for p in payload["sampled_non_matches"]],
+            **cls.pools_from_payload(payload, schema),
             rejection_stats={
                 k: int(v) for k, v in payload["rejection_stats"].items()
             },
             tracker_state=payload["tracker"],
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
             peak_rss_kb=int(payload.get("peak_rss_kb", 0)),
-            extras=dict(payload.get("extras", {})),
         )
 
 
@@ -223,6 +248,26 @@ def merged_o_syn(tracker_states: list[dict]) -> PairDistribution | None:
         sides[side] = GaussianMixture(np.array(weights), tuple(components))
     pi = float(np.clip(total_pos / max(1, total_pos + total_neg), 1e-6, 1 - 1e-6))
     return PairDistribution(pi, sides["pos"], sides["neg"])
+
+
+def merged_drift(
+    tracker_states: list[dict], o_labeling: PairDistribution, config
+) -> tuple[float | None, int]:
+    """``(JSD(merged O_syn, O_labeling), pair count)`` over tracker dumps.
+
+    The steering signal a shard receives from its peers and the reported
+    ``jsd_final`` of a merged run.  The JSD is ``None`` while no state has
+    bootstrapped; ``config`` supplies the seed and ``jsd_samples``.
+    """
+    n_pairs = sum(int(s["n_pos"]) + int(s["n_neg"]) for s in tracker_states)
+    merged = merged_o_syn(tracker_states)
+    if merged is None:
+        return None, n_pairs
+    jsd = pair_distribution_jsd(
+        merged, o_labeling,
+        seed=config.seed + JSD_STREAM, n_samples=config.jsd_samples,
+    )
+    return jsd, n_pairs
 
 
 class ShardStatsBus:

@@ -13,11 +13,12 @@ with watermarks checked at the places the pipeline already pauses:
   ``entity_est_kb`` — so a shard whose working set will not fit is caught
   before the allocator feels it.  Crossing the soft watermark
   (``memory_soft_fraction`` x budget) tells the caller to shrink its chunk
-  size; crossing the budget itself is "hard".  The degradation ladder in
-  the S2 loop shrinks first and only raises :class:`ResourceExhausted`
-  when shrinking is exhausted — and it raises *after* committing the
-  progress checkpoint, so the worker releases the job resumable
-  (PR 2's checkpoint-and-release rails) instead of dead-lettering it.
+  size; crossing the budget itself is "hard".  The degradation ladder
+  (:meth:`ResourceGovernor.downshift`, run by the S2 loop right after
+  each progress checkpoint) shrinks first and only raises
+  :class:`ResourceExhausted` when shrinking is exhausted — so the worker
+  releases the job resumable (checkpoint-and-release) instead of
+  dead-lettering it.
 
 - **Disk.**  ``preflight_disk()`` runs inside
   :func:`repro.runtime.io.atomic_write_bytes` and the queue's raw
@@ -56,6 +57,10 @@ MIN_CHUNK = 1
 #: Floor for the S3 labeling batch: the kernel path needs a few pairs per
 #: call to amortize, and the batch size never changes the labels produced.
 MIN_LABEL_BATCH = 64
+
+#: The degradation ladder: how many halvings of a chunk size each memory
+#: pressure level calls for.
+_LEVEL_SHIFT = {"ok": 0, "soft": 1, "hard": 2}
 
 
 class ResourceExhausted(RuntimeError):
@@ -240,6 +245,31 @@ class ResourceGovernor:
             return "soft"
         return "ok"
 
+    def downshift(self, shift: int, *, entities: int) -> int:
+        """One rung of the S2 memory ladder: sample, then the new chunk shift.
+
+        Soft pressure adds one halving and hard pressure two, capped at
+        ``max_downshifts``.  Hard pressure with the ladder already at its
+        cap raises :class:`ResourceExhausted`.  ``shift`` is the caller's
+        per-run state, so one pathological job cannot shrink the chunk size
+        of every later job in the worker process.
+        """
+        level = self.sample_memory(entities=entities)
+        cap = self.budget.max_downshifts
+        if level == "hard" and shift >= cap:
+            raise ResourceExhausted(
+                "memory",
+                f"memory budget breached after {shift} downshift(s): observed "
+                f"{self.peak_observed_mb():.0f} MB vs budget "
+                f"{self.budget.memory_budget_mb} MB",
+                budget_mb=self.budget.memory_budget_mb,
+                observed_mb=self.peak_observed_mb(),
+            )
+        new_shift = min(shift + _LEVEL_SHIFT[level], cap)
+        if new_shift > shift:
+            count_event("chunk_downshifts")
+        return max(shift, new_shift)
+
     def peak_rss_kb(self) -> int:
         with self._lock:
             return self._peak_rss_kb
@@ -396,10 +426,9 @@ def effective_label_batch(base: int) -> int:
     """
     if _ACTIVE is None:
         return base
-    level = _ACTIVE.sample_memory()
-    if level == "ok":
+    shift = _LEVEL_SHIFT[_ACTIVE.sample_memory()]
+    if shift == 0:
         return base
-    shift = 1 if level == "soft" else 2
     shrunk = max(MIN_LABEL_BATCH, base >> shift)
     if shrunk < base:
         count_event("chunk_downshifts")

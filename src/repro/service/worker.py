@@ -52,8 +52,13 @@ import uuid
 
 import numpy as np
 
-from repro.core.sharding import ShardRun, ShardSpec, ShardStatsBus, merged_o_syn, plan_shards
-from repro.distributions.divergence import pair_distribution_jsd
+from repro.core.sharding import (
+    ShardRun,
+    ShardSpec,
+    ShardStatsBus,
+    merged_drift,
+    plan_shards,
+)
 from repro.runtime.cancellation import (
     CancellationToken,
     LinkedCancellationToken,
@@ -133,10 +138,27 @@ class Worker:
         if job is None:
             return False
         self._counters_at_claim = resources.counters()
+        try:
+            self._run_leased(job, self.stop)
+        except SynthesisInterrupted:
+            pass  # drained: the job is back in the queue, progress intact
+        return True
+
+    def _run_leased(self, job: Job, parent_stop: CancellationToken) -> None:
+        """Run a job we hold the lease on, and map how it ends to the queue.
+
+        The one bracket for whole jobs and for the shards a coordinator
+        runs inline: a heartbeat thread renews the lease, and the job runs
+        under a token linked to ``parent_stop`` that the heartbeat also
+        trips the moment the lease is lost.  A drain
+        (:class:`SynthesisInterrupted`) releases the job with its progress
+        checkpointed and propagates, so a coordinator releases its parent
+        too.  A simulated crash (:class:`InjectedInterrupt`) propagates
+        untouched: like a real ``kill -9`` it leaves the claim to expire
+        and the record ``running``, burning no attempt.
+        """
         halt = threading.Event()
-        # Job-scoped cancellation: trips with the worker's drain token OR
-        # for job-local reasons (heartbeat discovering the lease was lost).
-        job_stop = LinkedCancellationToken(self.stop)
+        job_stop = LinkedCancellationToken(parent_stop)
         beater = threading.Thread(
             target=self._heartbeat_loop, args=(job.id, halt, job_stop), daemon=True
         )
@@ -144,16 +166,9 @@ class Worker:
         try:
             self._run_job(job, job_stop)
         except SynthesisInterrupted:
-            # Graceful drain: progress is checkpointed; give the job back.
-            # (If we stopped because the lease was lost, release raises
-            # ClaimLost — the job already has a new owner; walk away.)
-            try:
-                self.queue.release(job.id, self.worker_id)
-            except ClaimLost:
-                pass
+            self._release(job)
+            raise
         except InjectedInterrupt:
-            # Fault harness simulating a hard crash: die like one — leave
-            # the claim to expire and the job record saying "running".
             raise
         except ClaimLost:
             # Another worker stole the lease mid-run; its result wins and
@@ -167,13 +182,7 @@ class Worker:
             # DLQ.  Back off before polling again: the pressure is ours,
             # not the job's.
             resources.count_event("jobs_released_on_exhaustion")
-            try:
-                self.queue.release(job.id, self.worker_id)
-            except (ClaimLost, ResourceExhausted):
-                # Release refused (lease stolen, or the release write
-                # itself hit the disk floor): the lease will expire and
-                # the job is reclaimed with its checkpoint either way.
-                pass
+            self._release(job)
             self.stop.wait(1.0)
         except Exception as error:  # noqa: BLE001 - job isolation boundary
             try:
@@ -187,10 +196,17 @@ class Worker:
         finally:
             halt.set()
             beater.join(timeout=2.0)
-        return True
 
-    def _run_job(self, job: Job, stop: CancellationToken | None = None) -> None:
-        stop = stop if stop is not None else self.stop
+    def _release(self, job: Job) -> None:
+        """Give a job back to pending; a refused release (lease already
+        stolen, or the write hit the disk floor) leaves the lease to expire,
+        and the job is reclaimed with its checkpoint either way."""
+        try:
+            self.queue.release(job.id, self.worker_id)
+        except (ClaimLost, ResourceExhausted):
+            pass
+
+    def _run_job(self, job: Job, stop: CancellationToken) -> None:
         if job.kind == "shard":
             self._run_shard_job(job, stop)
         elif job.shards > 1:
@@ -305,9 +321,7 @@ class Worker:
         result_dir = self.queue.result_dir(job.id)
         synthesizer, entry = self._load(job)
         seed = int(job.seed) if job.seed is not None else synthesizer.config.seed
-        real = synthesizer._real
-        n_a = job.n_a if job.n_a is not None else len(real.table_a)
-        n_b = job.n_b if job.n_b is not None else len(real.table_b)
+        n_a, n_b = synthesizer.target_sizes(job.n_a, job.n_b)
         shards_target = int(job.shards)
         governor = resources.installed()
         if governor is not None:
@@ -362,7 +376,7 @@ class Worker:
                 # Collection quarantines + requeues corrupt shard results
                 # and returns None, in which case the children are pending
                 # again and we go back to waiting (and claiming) for them.
-                runs = self._collect_shard_runs(child_ids, real.schema)
+                runs = self._collect_shard_runs(child_ids, synthesizer._real.schema)
                 continue
             last_broadcast = self._broadcast_feedback(
                 synthesizer, bus, len(plan), last_broadcast
@@ -378,7 +392,7 @@ class Worker:
                 if claimed is not None:
                     break
             if claimed is not None:
-                self._run_claimed_shard(claimed, stop)
+                self._run_leased(claimed, stop)
             else:
                 stop.wait(min(0.25, self.lease_seconds / 10.0))
         runs.sort(key=lambda run: run.spec.index)
@@ -424,53 +438,6 @@ class Worker:
             integrity.count_event("shards_requeued_corrupt")
         return None
 
-    def _run_claimed_shard(self, child: Job, parent_stop: CancellationToken) -> None:
-        """Run one of our own shard sub-jobs inline, with its own lease.
-
-        Failures are contained to the child (it requeues or dead-letters
-        through the normal paths); a drain interrupt releases the child
-        with its checkpoint intact and propagates so the coordinator
-        releases the parent too.
-        """
-        halt = threading.Event()
-        child_stop = LinkedCancellationToken(parent_stop)
-        beater = threading.Thread(
-            target=self._heartbeat_loop, args=(child.id, halt, child_stop),
-            daemon=True,
-        )
-        beater.start()
-        try:
-            self._run_shard_job(child, child_stop)
-        except SynthesisInterrupted:
-            try:
-                self.queue.release(child.id, self.worker_id)
-            except ClaimLost:
-                pass
-            raise
-        except ClaimLost:
-            pass
-        except ResourceExhausted:
-            # The child's checkpoint is committed; release it for another
-            # (less pressured) worker and let the coordinator keep waiting
-            # — never toward the DLQ.
-            resources.count_event("jobs_released_on_exhaustion")
-            try:
-                self.queue.release(child.id, self.worker_id)
-            except (ClaimLost, ResourceExhausted):
-                pass
-        except Exception as error:  # noqa: BLE001 - child isolation boundary
-            try:
-                self.queue.fail(
-                    child.id,
-                    self.worker_id,
-                    f"{type(error).__name__}: {error}\n{traceback.format_exc()}",
-                )
-            except ClaimLost:
-                pass
-        finally:
-            halt.set()
-            beater.join(timeout=2.0)
-
     def _broadcast_feedback(
         self, synthesizer, bus: ShardStatsBus, n_shards: int, last: dict | None
     ) -> dict | None:
@@ -489,25 +456,19 @@ class Worker:
         }
         if last is not None and last.get("fingerprint") == fingerprint:
             return last
-        config = synthesizer.config
         feedback: dict[str, dict] = {}
         for index in range(n_shards):
-            peer_states = [
-                payload["tracker"]
-                for peer, payload in states.items()
-                if peer != index and payload.get("tracker") is not None
-            ]
-            merged = merged_o_syn(peer_states) if peer_states else None
-            if merged is None:
-                continue
-            jsd = pair_distribution_jsd(
-                merged, synthesizer.o_labeling,
-                seed=config.seed + 23, n_samples=config.jsd_samples,
+            jsd, n_pairs = merged_drift(
+                [
+                    payload["tracker"]
+                    for peer, payload in states.items()
+                    if peer != index and payload.get("tracker") is not None
+                ],
+                synthesizer.o_labeling,
+                synthesizer.config,
             )
-            n_pairs = sum(
-                int(s["n_pos"]) + int(s["n_neg"]) for s in peer_states
-            )
-            feedback[str(index)] = {"jsd": jsd, "n_pairs": n_pairs}
+            if jsd is not None:
+                feedback[str(index)] = {"jsd": jsd, "n_pairs": n_pairs}
         bus.publish_global({"shard_feedback": feedback})
         return {"fingerprint": fingerprint, "feedback": feedback}
 

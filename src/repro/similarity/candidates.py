@@ -3,9 +3,8 @@
 Classic ER blocking: index entities by the tokens (and character q-grams) of
 their string attributes; only pairs sharing at least one key are candidates.
 Pairs sharing nothing have (near-)zero string similarity, so any pair the S3
-posterior could label matching is a candidate — which makes blocking a
-faithful fast path for labeling large synthetic datasets
-(``label_all_pairs(..., blocker=...)``).
+posterior could label matching should be a candidate; the recall tests pin
+that.  S3 labeling itself scores all cross pairs.
 """
 
 from __future__ import annotations

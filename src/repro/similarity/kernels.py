@@ -21,7 +21,7 @@ and score whole blocks of pairs with numpy:
 - :func:`one_vs_many` — one entity against every profile row (S2's
   ``Delta X_syn``);
 - :func:`pairs` — explicit index-pair lists (S1 labeled-pair extraction and
-  blocked S3 labeling).
+  batched pair vectors).
 
 Set intersections are sparse binary matrix products: ``|A & B|`` is a CSR
 matmul and ``|A | B| = |A| + |B| - |A & B|``, so q-gram Jaccard over a whole
@@ -461,8 +461,8 @@ def pairs(
 ) -> np.ndarray:
     """Similarity vectors ``(n_pairs, l)`` for explicit row-index pairs.
 
-    Used for S1 labeled-pair extraction and the blocked S3 labeling path,
-    where a blocker has already decided *which* pairs to score.
+    Used for S1 labeled-pair extraction and ``SimilarityModel.vectors``,
+    where the caller has already decided *which* pairs to score.
     """
     idx_a = np.asarray(idx_a, dtype=np.int64)
     idx_b = np.asarray(idx_b, dtype=np.int64)

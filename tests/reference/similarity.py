@@ -8,6 +8,7 @@ so their results must equal production's bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ def label_all_pairs(
     *,
     batch_size: int = 4096,
     max_matches: int | None = None,
-    blocker=None,
 ) -> tuple[list[Pair], int]:
     """:func:`repro.core.labeling.label_all_pairs`, one vector per pair."""
     candidates: list[tuple[float, Pair]] = []
@@ -49,13 +49,7 @@ def label_all_pairs(
         batch_pairs.clear()
         batch_vectors.clear()
 
-    if blocker is not None:
-        pair_iterator = iter(blocker.candidate_pairs(table_a, table_b))
-    else:
-        pair_iterator = (
-            (entity_a, entity_b) for entity_a in table_a for entity_b in table_b
-        )
-    for entity_a, entity_b in pair_iterator:
+    for entity_a, entity_b in itertools.product(table_a, table_b):
         pair = (entity_a.entity_id, entity_b.entity_id)
         if pair in known_pairs:
             continue

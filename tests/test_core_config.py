@@ -50,8 +50,14 @@ class TestWithoutRejection:
 
 
 def parent_format(payload: dict, flag: bool) -> dict:
-    """A config payload as written before the path switches were removed."""
-    payload = dict(payload, use_similarity_kernels=flag)
+    """A config payload as written before the retired options were removed."""
+    payload = dict(
+        payload,
+        use_similarity_kernels=flag,
+        use_blocking_for_labeling=flag,
+        fallback_warn_threshold=0.5,
+        fallback_warn_min=20,
+    )
     payload["transformer"] = dict(
         payload["transformer"], dp_vectorized=flag, generation_cache=flag
     )

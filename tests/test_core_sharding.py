@@ -2,9 +2,10 @@
 
 The load-bearing invariants from the sharding design:
 
-- ``plan_shards(n_a, n_b, 1)`` is the equivalence oracle: a one-shard
-  "sharded" run must be bit-identical to the sequential loop.
-- Multi-shard runs are deterministic functions of (model, seed, n_shards).
+- ``plan_shards(n_a, n_b, 1)`` is the equivalence oracle: ``n_shards=1``
+  must be bit-identical to the unsharded loop.
+- In-process multi-shard runs are deterministic functions of
+  (model, seed, n_shards).
 - Interrupting a sharded run mid-S2 and resuming from its checkpoints
   yields the same merged dataset as an uninterrupted run.
 - ``merged_o_syn`` of a single tracker state reproduces that tracker's
@@ -107,6 +108,32 @@ class TestShardRunRoundTrip:
         assert restored.rejection_stats == run.rejection_stats
         assert restored.elapsed_seconds == 1.5
         assert restored.peak_rss_kb == 1024
+
+    def test_result_with_retired_extras_key_loads(self):
+        """A ``shard_result.json`` written while ``ShardRun`` still had an
+        ``extras`` field carries the key; it loads and re-dumps without it."""
+        schema = make_schema({"name": "text"})
+        spec = plan_shards(2, 2, 2, seed=4)[0]
+        payload = {
+            "spec": spec.to_dict(),
+            "a_entities": [["s0_a0", ["ann"]]],
+            "b_entities": [["s0_b0", ["bob"]]],
+            "sampled_matches": [["s0_a0", "s0_b0"]],
+            "sampled_non_matches": [],
+            "rejection_stats": {"accepted": 1},
+            "tracker": {"pos": None, "neg": None, "n_pos": 1, "n_neg": 0,
+                        "buffer_pos": [[0.9]], "buffer_neg": []},
+            "elapsed_seconds": 0.5,
+            "peak_rss_kb": 10,
+            "extras": {},
+        }
+        run = ShardRun.from_payload(payload, schema)
+        assert run.spec == spec
+        assert [e.entity_id for e in run.a_entities] == ["s0_a0"]
+        assert run.sampled_matches == [("s0_a0", "s0_b0")]
+        expected = dict(payload)
+        del expected["extras"]
+        assert run.to_payload() == expected
 
 
 def _toy_o_real(dim=2):
@@ -276,7 +303,7 @@ class TestShardedSynthesis:
             _synthesizer(service_registry, 7).synthesize, 18, 18
         )
         sharded = _quiet_synthesize(
-            _synthesizer(service_registry, 7).synthesize_sharded,
+            _synthesizer(service_registry, 7).synthesize,
             18, 18, n_shards=1,
         )
         _assert_same_dataset(sharded.dataset, sequential.dataset)
@@ -285,11 +312,11 @@ class TestShardedSynthesis:
 
     def test_multi_shard_deterministic(self, service_registry):
         first = _quiet_synthesize(
-            _synthesizer(service_registry, 11).synthesize_sharded,
+            _synthesizer(service_registry, 11).synthesize,
             20, 20, n_shards=3,
         )
         second = _quiet_synthesize(
-            _synthesizer(service_registry, 11).synthesize_sharded,
+            _synthesizer(service_registry, 11).synthesize,
             20, 20, n_shards=3,
         )
         _assert_same_dataset(second.dataset, first.dataset)
@@ -299,7 +326,7 @@ class TestShardedSynthesis:
 
     def test_multi_shard_ids_namespaced_and_unique(self, service_registry):
         output = _quiet_synthesize(
-            _synthesizer(service_registry, 13).synthesize_sharded,
+            _synthesizer(service_registry, 13).synthesize,
             12, 12, n_shards=2,
         )
         ids = [e.entity_id for e in output.dataset.table_a] + [
@@ -311,7 +338,7 @@ class TestShardedSynthesis:
     def test_interrupt_resume_bit_identical(self, service_registry, tmp_path):
         """Satellite: kill a sharded run mid-S2, resume, same dataset."""
         expected = _quiet_synthesize(
-            _synthesizer(service_registry, 17).synthesize_sharded,
+            _synthesizer(service_registry, 17).synthesize,
             16, 16, n_shards=2,
         )
 
@@ -320,13 +347,13 @@ class TestShardedSynthesis:
         with inject_faults(plan):
             with pytest.raises(InjectedInterrupt):
                 _quiet_synthesize(
-                    _synthesizer(service_registry, 17).synthesize_sharded,
+                    _synthesizer(service_registry, 17).synthesize,
                     16, 16, n_shards=2, checkpoint_dir=checkpoint,
                 )
         assert plan.fired("synthesize.step") == 1
 
         resumed = _quiet_synthesize(
-            _synthesizer(service_registry, 17).synthesize_sharded,
+            _synthesizer(service_registry, 17).synthesize,
             16, 16, n_shards=2, checkpoint_dir=checkpoint,
         )
         _assert_same_dataset(resumed.dataset, expected.dataset)

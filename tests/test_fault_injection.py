@@ -97,7 +97,7 @@ class TestGANGuard:
         assert synthesizer.gan is None
         assert any("diverged" in note for note in record.notes)
         # The degraded pipeline still synthesizes end to end (19 slots is
-        # below fallback_warn_min, so no livelock warning is expected here).
+        # below FALLBACK_WARN_MIN, so no livelock warning is expected here).
         output = synthesizer.synthesize(n_a=10, n_b=10)
         assert len(output.dataset.table_a) == 10
         assert output.health["stages"][2]["status"] == "degraded"
@@ -252,18 +252,17 @@ class TestDegenerateInputs:
 
 class TestLivelockTelemetry:
     def test_fallback_rate_warns_once(self, real):
-        # Impossible acceptance bar: every slot exhausts its retries.
+        # Impossible acceptance bar: every slot exhausts its retries.  23
+        # slots cross the FALLBACK_WARN_MIN floor of 20.
         config = _config(
             alpha=1e-9,
             max_rejection_retries=1,
-            fallback_warn_min=5,
-            fallback_warn_threshold=0.5,
             min_pairs_for_rejection=1,
         )
         synthesizer = SERDSynthesizer(config)
         synthesizer.fit(real, train_gan=False)
         with pytest.warns(RuntimeWarning, match="rejection livelock") as caught:
-            output = synthesizer.synthesize(n_a=8, n_b=8)
+            output = synthesizer.synthesize(n_a=12, n_b=12)
         livelock = [
             w for w in caught if "rejection livelock" in str(w.message)
         ]

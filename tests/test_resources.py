@@ -197,6 +197,34 @@ class TestLabelBatch:
             assert resources.effective_label_batch(100) == MIN_LABEL_BATCH
 
 
+class TestDownshift:
+    """The S2 ladder rung on its own: soft +1, hard +2, capped, and hard
+    pressure at the cap raises."""
+
+    @staticmethod
+    def _at(rss_mb, fn):
+        plan = FaultPlan(FaultSpec("resource.rss_kb", payload=rss_mb * 1024))
+        with inject_faults(plan):
+            return fn()
+
+    def test_soft_one_hard_two_capped(self):
+        governor = ResourceGovernor(
+            ResourceBudget(memory_budget_mb=100, max_downshifts=3)
+        )
+        assert self._at(10, lambda: governor.downshift(0, entities=0)) == 0
+        assert self._at(90, lambda: governor.downshift(0, entities=0)) == 1
+        assert self._at(150, lambda: governor.downshift(1, entities=0)) == 3
+        assert self._at(90, lambda: governor.downshift(3, entities=0)) == 3
+        assert resources.counters()["chunk_downshifts"] == 2
+
+    def test_hard_at_cap_raises(self):
+        governor = ResourceGovernor(
+            ResourceBudget(memory_budget_mb=100, max_downshifts=2)
+        )
+        with pytest.raises(ResourceExhausted, match="after 2 downshift"):
+            self._at(150, lambda: governor.downshift(2, entities=0))
+
+
 class TestInstall:
     def test_install_uninstall_roundtrip(self):
         governor = ResourceGovernor(ResourceBudget())

@@ -7,12 +7,13 @@ and the jittered empty-queue backoff in ``Worker.run_forever``.
 
 import random
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.runtime.faults import FaultPlan, FaultSpec, inject_faults
+from repro.runtime.faults import FaultPlan, FaultSpec, InjectedInterrupt, inject_faults
 from repro.schema.io import load_saved_dataset
 from repro.service import JobQueue, Worker
 
@@ -131,19 +132,34 @@ class TestShardedJobEndToEnd:
     def test_crashed_shard_child_retried_bit_identical(
         self, queue, service_registry
     ):
-        """A shard child dying mid-S2 requeues and resumes from its own
-        checkpoint; the merged dataset matches an undisturbed run."""
+        """A crash inside a shard the coordinator runs itself is a crash,
+        not a failure: the child is left ``running`` with no attempt burned
+        at crash time, its lease expires, and a rescuer resumes it from its
+        own checkpoint; the merged dataset matches an undisturbed run."""
         clean = queue.submit("restaurant", n_a=12, n_b=12, seed=37, shards=2)
         expected = load_saved_dataset(
             _run_to_done(queue, service_registry, clean.id).result["dataset_dir"]
         )
 
         job = queue.submit("restaurant", n_a=12, n_b=12, seed=37, shards=2)
+        crasher = Worker(
+            queue, service_registry, worker_id="crasher", lease_seconds=0.2
+        )
         plan = FaultPlan(FaultSpec("synthesize.step", at_calls=(7,)))
-        with inject_faults(plan):
-            record = _run_to_done(queue, service_registry, job.id)
+        with inject_faults(plan), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(InjectedInterrupt):
+                crasher.run_once()
         assert plan.fired("synthesize.step") == 1
-        # Exactly one child burned an extra attempt on the injected crash.
+        # The kill -9 aftermath: parent and the crashed child both still
+        # look in-flight; nothing recorded a failure.
+        assert queue.get(job.id).status == "running"
+        crashed = [c for c in queue.children(job.id) if c.status == "running"]
+        assert len(crashed) == 1 and crashed[0].error is None
+
+        time.sleep(0.3)  # let the dead worker's leases expire
+        record = _run_to_done(queue, service_registry, job.id, worker_id="rescuer")
+        # Exactly one child was claimed twice: by the crasher, then the rescuer.
         assert sorted(c.attempts for c in queue.children(job.id)) == [1, 2]
         actual = load_saved_dataset(record.result["dataset_dir"])
         assert _dataset_tuple(actual) == _dataset_tuple(expected)

@@ -206,23 +206,6 @@ class TestLabelAllPairsPaths:
         )
         assert kernel == scalar
 
-    def test_blocked_kernel_path_equals_scalar(self, fitted):
-        from repro.core.labeling import label_all_pairs
-        from repro.similarity.candidates import TokenBlocker
-
-        dataset, model, o_real = fitted
-        blocker = TokenBlocker(dataset.schema)
-        known = set(dataset.matches[:5])
-        kernel = label_all_pairs(
-            dataset.table_a, dataset.table_b, known, o_real, model,
-            blocker=blocker,
-        )
-        scalar = reference.label_all_pairs(
-            dataset.table_a, dataset.table_b, known, o_real, model,
-            blocker=blocker,
-        )
-        assert kernel == scalar
-
     def test_max_matches_cap_identical(self, fitted):
         from repro.core.labeling import label_all_pairs
 
