@@ -21,8 +21,9 @@ coordinator claimed itself.  The oracle is then an uninterrupted run of the
 same job through the same one-worker service (the in-process
 ``synthesize(n_shards=2)`` applies peer feedback at shard start, the
 service at a shard's first checkpoint, so the two differ), and the checks
-are: the job is ``done``, no shard sub-job was dead-lettered, and the
-dataset equals that oracle.
+are: the job is ``done``, no shard sub-job was dead-lettered, the
+``resumed_entities`` of the job's ``s2_synthesis_shard<k>`` stages sum to
+more than zero, and the dataset equals that oracle.
 
 The job's health report is left at ``<workdir>/queue/results/<job>/
 health.json`` for CI to upload as an artifact.
@@ -147,19 +148,22 @@ def main() -> int:
             failures.append(f"no reclaim happened (events: {events})")
         if service.pool.restarts < 1:
             failures.append("supervisor never restarted the killed worker")
-        resumed = None
         if sharded:
             dead = [c.id for c in queue.children(job_id) if c.status != "done"]
             if dead:
                 failures.append(f"shard sub-jobs not done: {dead}")
-        else:
-            health = json.loads(
-                (queue.result_dir(job_id) / "health.json").read_text()
-            )
-            (s2,) = [s for s in health["stages"] if s["name"] == "s2_synthesis"]
-            resumed = s2["counters"].get("resumed_entities", 0)
-            if resumed <= 0:
-                failures.append("job did not resume from the checkpoint")
+        health = json.loads(
+            (queue.result_dir(job_id) / "health.json").read_text()
+        )
+        prefix = "s2_synthesis_shard" if sharded else "s2_synthesis"
+        s2_stages = [s for s in health["stages"] if s["name"].startswith(prefix)]
+        if sharded and len(s2_stages) != args.shards:
+            failures.append(f"health has {len(s2_stages)} shard S2 stage(s)")
+        resumed = sum(
+            s["counters"].get("resumed_entities", 0) for s in s2_stages
+        )
+        if resumed <= 0:
+            failures.append("job did not resume from the checkpoint")
         actual = load_saved_dataset(record["result"]["dataset_dir"])
         if (
             [e.values for e in actual.table_a] != [e.values for e in expected.table_a]
@@ -176,9 +180,8 @@ def main() -> int:
             return 1
         print(
             f"OK: worker killed mid-S2, job reclaimed (attempts="
-            f"{record['attempts']}), "
-            + (f"resumed {resumed} entities, " if resumed is not None else "")
-            + "dataset bit-identical to the uninterrupted run"
+            f"{record['attempts']}), resumed {resumed} entities, "
+            "dataset bit-identical to the uninterrupted run"
         )
         print(f"health report: {queue.result_dir(job_id) / 'health.json'}")
         return 0

@@ -206,17 +206,17 @@ class RejectionPolicy:
         }
         self._cached_jsd_current: float | None = None
         self._jsd: PairJsdEstimator | None = None
-        # Cross-shard steering (sharded synthesis): the coordinator's merged
-        # peer O_syn drift and its pair count.  When set, the Eq. 10 baseline
-        # becomes the pair-count-weighted blend of local and peer JSD, so a
-        # shard steers toward the *global* target distribution.  None means
-        # no peers — the baseline is purely local, exactly the sequential
-        # loop's behavior.
+        # Cross-shard steering (sharded synthesis): the merged O_syn drift
+        # of this shard's peers and its pair count.  When set, the Eq. 10
+        # baseline becomes the pair-count-weighted blend of local and peer
+        # JSD, so a shard steers toward the *global* target distribution.
+        # None means no peers — the baseline is purely local, exactly the
+        # sequential loop's behavior.
         self.peer_jsd: float | None = None
         self.peer_pairs: int = 0
 
     def set_peer_feedback(self, jsd: float | None, n_pairs: int) -> None:
-        """Adopt the coordinator's merged peer drift (``None`` clears it)."""
+        """Adopt the peers' merged O_syn drift (``None`` clears it)."""
         self.peer_jsd = None if jsd is None else float(jsd)
         self.peer_pairs = int(n_pairs) if jsd is not None else 0
 

@@ -803,9 +803,10 @@ class SERDSynthesizer:
         ``n_shards`` splits the target sizes with
         :func:`~repro.core.sharding.plan_shards`; the shards run one after
         another, each on its own RNG stream, and every finished shard's
-        O_syn drift steers the shards after it (the signal the service's
-        coordinator broadcasts).  The merged pools go through one S3 pass.
-        A plan of one shard is the unsharded loop on the master RNG.
+        O_syn drift steers the shards after it from their start (service
+        shards read that signal from their peers at each checkpoint).  The
+        merged pools go through one S3 pass.  A plan of one shard is the
+        unsharded loop on the master RNG.
 
         With ``checkpoint_dir``, the S2 loop commits a progress checkpoint
         (partial entity pools, sampled edges, the live O_syn tracker and
@@ -872,7 +873,7 @@ class SERDSynthesizer:
         stream is derived from its spec (single-shard specs reuse the master
         RNG), progress checkpoints go to ``checkpoint_dir`` under the
         standard ``s2_progress`` stage, and ``bus`` — when given — carries
-        the periodic O_syn publish/steer exchange with the coordinator.
+        the periodic O_syn publish/steer exchange with the shard's peers.
         """
         self.target_sizes(spec.n_a, spec.n_b)
         return self._run_s2_shard(
@@ -947,7 +948,8 @@ class SERDSynthesizer:
             # The loop finished; the progress checkpoint is consumed.
             checkpointer.clear(stage)
         if bus is not None:
-            self._sync_shard_bus(bus, state, done=True)
+            # Final statistics, for peers still running.
+            bus.publish_shard(spec.index, {"tracker": state.tracker.to_dict()})
         for key, value in state.policy.stats.items():
             record.increment(key, value)
         elapsed = time.perf_counter() - started
@@ -962,6 +964,7 @@ class SERDSynthesizer:
             tracker_state=state.tracker.to_dict(),
             elapsed_seconds=elapsed,
             peak_rss_kb=int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+            health=record.to_dict(),
         )
 
     def _s2_open(
@@ -1040,7 +1043,7 @@ class SERDSynthesizer:
         if not (stopping or due):
             return
         if bus is not None and not stopping:
-            self._sync_shard_bus(bus, state, done=False)
+            self._sync_shard_bus(bus, state)
         if checkpointer is not None:
             checkpointer.commit(stage, state.to_payload())
         if stopping:
@@ -1124,33 +1127,28 @@ class SERDSynthesizer:
             stacklevel=3,
         )
 
-    @staticmethod
-    def _sync_shard_bus(
-        bus: ShardStatsBus, state: "_S2State", *, done: bool
-    ) -> None:
-        """One publish/steer exchange with the coordinator's stats bus.
+    def _sync_shard_bus(self, bus: ShardStatsBus, state: "_S2State") -> None:
+        """One steer/publish exchange over the shard stats bus.
 
-        Reads the coordinator's latest per-shard feedback (the merged drift
-        of this shard's *peers*) and publishes this shard's live O_syn
-        statistics.  Called only at checkpoint boundaries so the applied
-        feedback is always the one recorded in the next progress payload.
+        Reads the peers' latest O_syn statistics, adopts their merged drift
+        (:func:`merged_drift`) as this shard's peer feedback, and publishes
+        this shard's live O_syn statistics.  Called only at checkpoint
+        boundaries so the applied feedback is always the one recorded in
+        the next progress payload.
         """
-        feedback = bus.read_global()
-        if feedback is not None:
-            entry = feedback.get("shard_feedback", {}).get(str(state.spec.index))
-            if entry is not None and entry.get("jsd") is not None:
-                state.policy.set_peer_feedback(
-                    float(entry["jsd"]), int(entry.get("n_pairs", 0))
-                )
-        bus.publish_shard(
-            state.spec.index,
-            {
-                "tracker": state.tracker.to_dict(),
-                "n_pos": state.tracker.n_pos,
-                "n_neg": state.tracker.n_neg,
-                "done": done,
-            },
+        index = state.spec.index
+        jsd, n_pairs = merged_drift(
+            [
+                payload["tracker"]
+                for peer, payload in bus.read_shards().items()
+                if peer != index
+            ],
+            self.o_labeling,
+            self.config,
         )
+        if jsd is not None:
+            state.policy.set_peer_feedback(jsd, n_pairs)
+        bus.publish_shard(index, {"tracker": state.tracker.to_dict()})
 
     def _assemble(
         self,
@@ -1171,6 +1169,15 @@ class SERDSynthesizer:
         for run in runs:
             for key, value in run.rejection_stats.items():
                 rejection_stats[key] = rejection_stats.get(key, 0) + int(value)
+
+        if len(runs) > 1:
+            # Each shard's S2 stage record, also for shards that ran in
+            # another process or were loaded from a committed result.
+            for run in runs:
+                if run.health is not None:
+                    self.health.merge_stage(StageHealth.from_dict(
+                        {**run.health, "name": f"s2_synthesis_shard{run.spec.index}"}
+                    ))
 
         table_a = Relation(f"{real.name}_syn_a", real.schema, a_entities)
         table_b = Relation(f"{real.name}_syn_b", real.schema, b_entities)

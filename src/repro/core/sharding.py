@@ -12,13 +12,13 @@ Single-shard plans are the equivalence oracle: ``plan_shards(n_a, n_b, 1)``
 produces a spec whose id prefix and RNG are exactly the unsharded loop's,
 so ``n_shards=1`` output does not depend on sharding at all.
 
-Cross-shard steering: each shard periodically publishes its live O_syn
-sufficient statistics (:class:`~repro.distributions.incremental.
-IncrementalGMM` dumps) through a :class:`ShardStatsBus`; the coordinator
-merges them into a global mixture and estimates the global drift
-``JSD(O_syn_global, O_real)`` (:func:`merged_drift`), and rebroadcasts it,
-so each shard's Eq. 10 baseline blends its local drift with its peers'
-instead of steering toward a purely local optimum.
+Cross-shard steering: at each checkpoint boundary a shard publishes its
+live O_syn sufficient statistics (:class:`~repro.distributions.incremental.
+IncrementalGMM` dumps) through a :class:`ShardStatsBus`, reads its peers'
+latest dumps from the same bus, and merges them into the peers' drift
+``JSD(O_syn_peers, O_real)`` (:func:`merged_drift`), so its Eq. 10
+baseline blends its local drift with its peers' instead of steering toward
+a purely local optimum.  No coordinator takes part in the exchange.
 """
 
 from __future__ import annotations
@@ -166,13 +166,15 @@ class ShardPools:
 
 @dataclass(kw_only=True)
 class ShardRun(ShardPools):
-    """The S2 loop's output for one shard (entities, edges, O_syn state)."""
+    """The S2 loop's output for one shard (entities, edges, O_syn state,
+    and the shard's ``s2_synthesis`` stage record as ``health``)."""
 
     spec: ShardSpec
     rejection_stats: dict[str, int]
     tracker_state: dict
     elapsed_seconds: float = 0.0
     peak_rss_kb: int = 0
+    health: dict | None = None
 
     def to_payload(self) -> dict:
         """JSON-serializable dump (shard result files, checkpoint stages)."""
@@ -183,12 +185,14 @@ class ShardRun(ShardPools):
             "tracker": self.tracker_state,
             "elapsed_seconds": self.elapsed_seconds,
             "peak_rss_kb": self.peak_rss_kb,
+            "health": self.health,
         }
 
     @classmethod
     def from_payload(cls, payload: dict, schema) -> "ShardRun":
         # Results written before ``extras`` was dropped still carry the
         # (always empty) key; it is ignored like any other unknown key.
+        # Results written before ``health`` was added load without one.
         return cls(
             spec=ShardSpec.from_dict(payload["spec"]),
             **cls.pools_from_payload(payload, schema),
@@ -198,6 +202,7 @@ class ShardRun(ShardPools):
             tracker_state=payload["tracker"],
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
             peak_rss_kb=int(payload.get("peak_rss_kb", 0)),
+            health=payload.get("health"),
         )
 
 
@@ -273,8 +278,8 @@ def merged_drift(
 class ShardStatsBus:
     """File-based publish/subscribe bus for cross-shard O_syn statistics.
 
-    Shards atomically write their tracker dumps to ``shard_<i>.json``; the
-    coordinator merges whatever is present and writes ``global.json`` back.
+    Each shard atomically writes its tracker dump to ``shard_<i>.json`` and
+    reads its peers' files; there is no other file and no other role.
     All writes go through tmp + ``os.replace`` so readers never observe a
     torn file, and a missing or not-yet-written file simply reads as "no
     statistics yet" — the bus imposes no ordering on its participants.
@@ -306,15 +311,3 @@ class ShardStatsBus:
             except (ValueError, OSError):
                 continue  # racing writer or vanished file: skip this round
         return out
-
-    def publish_global(self, payload: dict) -> None:
-        atomic_write_json(self.directory / "global.json", payload)
-
-    def read_global(self) -> dict | None:
-        path = self.directory / "global.json"
-        if not path.exists():
-            return None
-        try:
-            return read_json(path, what="global shard statistics")
-        except (ValueError, OSError):
-            return None

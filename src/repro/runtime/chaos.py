@@ -531,8 +531,8 @@ def run_campaign(
             # One doomed job proves the DLQ path still accounts cleanly
             # under the campaign's residual faults.
             doomed = queue.submit("no-such-model", max_attempts=1)
-            deadline = time.time() + 120
-            while time.time() < deadline:
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline:
                 if queue.get(doomed.id).status == "failed":
                     break
                 time.sleep(0.2)
@@ -595,8 +595,8 @@ def _kill_one_worker(
     is the job's owner is a coin flip, and both outcomes are valid chaos —
     the invariants must hold either way.
     """
-    deadline = time.time() + 60
-    while time.time() < deadline:
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
         if client.job(job_id)["status"] in ("running", "done"):
             break
         time.sleep(0.1)

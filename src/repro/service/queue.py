@@ -53,7 +53,7 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.runtime import faults, integrity, resources
 from repro.runtime.integrity import CorruptArtifactError
@@ -122,28 +122,7 @@ class Job:
     shards: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "model": self.model,
-            "version": self.version,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "seed": self.seed,
-            "status": self.status,
-            "submitted_unix": self.submitted_unix,
-            "started_unix": self.started_unix,
-            "finished_unix": self.finished_unix,
-            "attempts": self.attempts,
-            "max_attempts": self.max_attempts,
-            "worker": self.worker,
-            "error": self.error,
-            "result": dict(self.result),
-            "idempotency_key": self.idempotency_key,
-            "kind": self.kind,
-            "parent": self.parent,
-            "shard_index": self.shard_index,
-            "shards": self.shards,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Job":
@@ -403,77 +382,47 @@ class JobQueue:
             os.unlink(staged)
 
     def claim(self, worker: str, *, lease_seconds: float = 30.0) -> Job | None:
-        """Exclusively claim the oldest claimable job, or ``None``.
-
-        Winning the claim transitions the record to ``running`` and bumps
-        its attempt counter; a reclaim of a crashed worker's job is logged
-        as ``reclaimed`` so operators can see crash recovery happening.
-        """
-        now = _now()
+        """Exclusively claim the oldest claimable job, or ``None``."""
         for job in self.jobs():
-            if not self._claimable(job, now):
-                continue
-            if not self._try_acquire(job.id, worker, lease_seconds):
-                continue
-            # Re-read under ownership: the record may have advanced between
-            # the scan and the claim (e.g. the previous owner completed it
-            # right before its lease lapsed).
-            job = self.get(job.id)
-            if job.status not in (PENDING, RUNNING):
-                self._release_claim(job.id)
-                continue
-            reclaimed = job.status == RUNNING
-            if reclaimed and job.attempts >= job.max_attempts:
-                # Crash-looping job: every attempt died without reporting.
-                job.error = job.error or (
-                    f"worker crashed {job.attempts} time(s); attempt budget "
-                    "exhausted"
-                )
-                self._dead_letter(job, worker=worker, reason="crash_loop")
-                self._release_claim(job.id)
-                continue
-            job.status = RUNNING
-            job.worker = worker
-            job.attempts += 1
-            job.started_unix = _now()
-            self._write(job)
-            self._log(
-                "reclaimed" if reclaimed else "claimed",
-                job.id, worker=worker, attempt=job.attempts,
-            )
-            return job
+            claimed = self.claim_job(job, worker, lease_seconds=lease_seconds)
+            if claimed is not None:
+                return claimed
         return None
 
     def claim_job(
-        self, job_id: str, worker: str, *, lease_seconds: float = 30.0
+        self, job: Job, worker: str, *, lease_seconds: float = 30.0
     ) -> Job | None:
-        """Claim one *specific* claimable job, or ``None`` if someone owns it.
+        """Claim the job of a record the caller already read, or ``None``.
 
-        The sharded coordinator uses this to run its own shard sub-jobs
-        inline while it waits: it must never pull arbitrary work off the
-        queue (that could deadlock two coordinators against each other),
-        but racing the pool's workers for its *own* children is safe — the
-        claim file picks exactly one winner either way.
+        The one claim transition.  :meth:`claim` runs it over the queue
+        scan; the sharded coordinator runs it over its own shard sub-jobs
+        to execute them inline while it waits — it must never pull
+        arbitrary work off the queue (that could deadlock two coordinators
+        against each other), but racing the pool's workers for its *own*
+        children is safe: the claim file picks exactly one winner either
+        way.  Winning transitions the record to ``running`` and bumps its
+        attempt counter; a reclaim of a crashed worker's job is logged as
+        ``reclaimed`` so operators can see crash recovery happening.
         """
-        try:
-            job = self.get(job_id)
-        except KeyError:
-            return None
         if not self._claimable(job, _now()):
             return None
-        if not self._try_acquire(job_id, worker, lease_seconds):
+        if not self._try_acquire(job.id, worker, lease_seconds):
             return None
-        job = self.get(job_id)
+        # Re-read under ownership: the record may have advanced since the
+        # caller read it (e.g. the previous owner completed it right before
+        # its lease lapsed).
+        job = self.get(job.id)
         if job.status not in (PENDING, RUNNING):
-            self._release_claim(job_id)
+            self._release_claim(job.id)
             return None
         reclaimed = job.status == RUNNING
         if reclaimed and job.attempts >= job.max_attempts:
+            # Crash-looping job: every attempt died without reporting.
             job.error = job.error or (
                 f"worker crashed {job.attempts} time(s); attempt budget exhausted"
             )
             self._dead_letter(job, worker=worker, reason="crash_loop")
-            self._release_claim(job_id)
+            self._release_claim(job.id)
             return None
         job.status = RUNNING
         job.worker = worker

@@ -52,13 +52,7 @@ import uuid
 
 import numpy as np
 
-from repro.core.sharding import (
-    ShardRun,
-    ShardSpec,
-    ShardStatsBus,
-    merged_drift,
-    plan_shards,
-)
+from repro.core.sharding import ShardRun, ShardSpec, ShardStatsBus, plan_shards
 from repro.runtime.cancellation import (
     CancellationToken,
     LinkedCancellationToken,
@@ -307,16 +301,16 @@ class Worker:
         self.queue.complete(job.id, self.worker_id, shard_result)
 
     def _run_sharded_job(self, job: Job, stop: CancellationToken) -> None:
-        """Coordinate a ``shards > 1`` job: fan out, steer, merge, label.
+        """Coordinate a ``shards > 1`` job: fan out, merge, label.
 
         The coordinator submits one idempotency-keyed shard sub-job per
         shard (a restarted coordinator re-submits and observes the same
-        records — no duplicates), then waits for them: while waiting it
-        merges whatever O_syn statistics the shards have published into
-        per-shard peer feedback and rebroadcasts it, and — so a lone
+        records — no duplicates), then waits for them, and — so a lone
         worker can still finish the job — claims and runs its own pending
-        shards inline.  When every shard is done it merges the shard runs
-        and performs the streaming S3 + export exactly once.
+        shards inline.  The shards steer each other through the job's
+        stats bus without the coordinator.  When every shard is done it
+        merges the shard runs and performs the streaming S3 + export
+        exactly once.
         """
         result_dir = self.queue.result_dir(job.id)
         synthesizer, entry = self._load(job)
@@ -343,7 +337,6 @@ class Worker:
             # sequential loop; no fan-out machinery, bit-identical output.
             self._run_simple_job(job, stop)
             return
-        bus = ShardStatsBus(result_dir / "bus")
         child_ids = []
         for spec in plan:
             child = self.queue.submit(
@@ -360,7 +353,6 @@ class Worker:
                 shards=len(plan),
             )
             child_ids.append(child.id)
-        last_broadcast: dict | None = None
         runs: list[ShardRun] | None = None
         while runs is None:
             if stop():
@@ -378,16 +370,10 @@ class Worker:
                 # again and we go back to waiting (and claiming) for them.
                 runs = self._collect_shard_runs(child_ids, synthesizer._real.schema)
                 continue
-            last_broadcast = self._broadcast_feedback(
-                synthesizer, bus, len(plan), last_broadcast
-            )
             claimed = None
-            now = time.time()
             for record in records:
-                if record.status == DONE or not self.queue._claimable(record, now):
-                    continue
                 claimed = self.queue.claim_job(
-                    record.id, self.worker_id, lease_seconds=self.lease_seconds
+                    record, self.worker_id, lease_seconds=self.lease_seconds
                 )
                 if claimed is not None:
                     break
@@ -437,40 +423,6 @@ class Worker:
             self.queue.reset_for_rerun(cid, reason=reason)
             integrity.count_event("shards_requeued_corrupt")
         return None
-
-    def _broadcast_feedback(
-        self, synthesizer, bus: ShardStatsBus, n_shards: int, last: dict | None
-    ) -> dict | None:
-        """Merge published shard stats into per-shard peer feedback.
-
-        Each shard's feedback is the merged drift of its *peers* only (its
-        own contribution is already in its local Eq. 10 term).  The JSD
-        estimates are only recomputed when some shard published new
-        statistics — the coordinator polls far more often than shards
-        checkpoint.
-        """
-        states = bus.read_shards()
-        fingerprint = {
-            index: (payload.get("n_pos"), payload.get("n_neg"))
-            for index, payload in states.items()
-        }
-        if last is not None and last.get("fingerprint") == fingerprint:
-            return last
-        feedback: dict[str, dict] = {}
-        for index in range(n_shards):
-            jsd, n_pairs = merged_drift(
-                [
-                    payload["tracker"]
-                    for peer, payload in states.items()
-                    if peer != index and payload.get("tracker") is not None
-                ],
-                synthesizer.o_labeling,
-                synthesizer.config,
-            )
-            if jsd is not None:
-                feedback[str(index)] = {"jsd": jsd, "n_pairs": n_pairs}
-        bus.publish_global({"shard_feedback": feedback})
-        return {"fingerprint": fingerprint, "feedback": feedback}
 
     def run_forever(
         self,
@@ -670,9 +622,9 @@ class WorkerPool:
         for proc in self._procs:
             if proc.poll() is None:
                 proc.send_signal(signal.SIGTERM)
-        deadline = time.time() + timeout
+        deadline = time.monotonic() + timeout
         for proc in self._procs:
-            remaining = max(0.1, deadline - time.time())
+            remaining = max(0.1, deadline - time.monotonic())
             try:
                 proc.wait(timeout=remaining)
             except subprocess.TimeoutExpired:

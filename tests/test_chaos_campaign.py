@@ -2,8 +2,8 @@
 
 These are the pure parts of :mod:`repro.runtime.chaos` — the schedule (a
 function of the seed), the invariant checkers (queue inspection), and the
-replay fingerprint.  The full campaign against a live service runs in
-``examples/resource_chaos_smoke.py`` and the CI ``resource-chaos`` job.
+replay fingerprint.  The full campaign against a live service runs as
+``repro chaos run --replay-check`` in the CI ``resource-chaos`` job.
 """
 
 import pytest

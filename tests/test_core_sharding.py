@@ -24,6 +24,7 @@ from repro.core.sharding import (
     ShardRun,
     ShardSpec,
     ShardStatsBus,
+    merged_drift,
     merged_o_syn,
     plan_shards,
     shard_rng,
@@ -31,6 +32,8 @@ from repro.core.sharding import (
 from repro.distributions.gaussian import GaussianComponent
 from repro.distributions.gmm import GaussianMixture
 from repro.distributions.mixture import PairDistribution
+from repro.runtime.cancellation import SynthesisInterrupted
+from repro.runtime.checkpoint import StageCheckpointer
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedInterrupt, inject_faults
 from repro.schema import make_schema
 
@@ -99,8 +102,11 @@ class TestShardRunRoundTrip:
                            "buffer_pos": [], "buffer_neg": []},
             elapsed_seconds=1.5,
             peak_rss_kb=1024,
+            health={"name": "s2_synthesis", "status": "completed",
+                    "seconds": 1.5, "counters": {"accepted": 2}, "notes": []},
         )
         restored = ShardRun.from_payload(run.to_payload(), schema)
+        assert restored.health == run.health
         assert restored.spec == spec
         assert restored.a_entities == run.a_entities
         assert restored.b_entities == run.b_entities
@@ -111,7 +117,8 @@ class TestShardRunRoundTrip:
 
     def test_result_with_retired_extras_key_loads(self):
         """A ``shard_result.json`` written while ``ShardRun`` still had an
-        ``extras`` field carries the key; it loads and re-dumps without it."""
+        ``extras`` field, and before it had ``health``, loads; it re-dumps
+        without ``extras`` and with an empty ``health``."""
         schema = make_schema({"name": "text"})
         spec = plan_shards(2, 2, 2, seed=4)[0]
         payload = {
@@ -131,8 +138,10 @@ class TestShardRunRoundTrip:
         assert run.spec == spec
         assert [e.entity_id for e in run.a_entities] == ["s0_a0"]
         assert run.sampled_matches == [("s0_a0", "s0_b0")]
+        assert run.health is None
         expected = dict(payload)
         del expected["extras"]
+        expected["health"] = None
         assert run.to_payload() == expected
 
 
@@ -217,12 +226,6 @@ class TestShardStatsBus:
         bus.publish_shard(0, {"n_pos": 3})
         (tmp_path / "bus" / "shard_1.json").write_text("{torn")
         assert set(bus.read_shards()) == {0}
-
-    def test_global_round_trip(self, tmp_path):
-        bus = ShardStatsBus(tmp_path / "bus")
-        assert bus.read_global() is None
-        bus.publish_global({"shard_feedback": {"0": {"jsd": 0.1}}})
-        assert bus.read_global()["shard_feedback"]["0"]["jsd"] == 0.1
 
     def test_concurrent_writer_process_never_breaks_reads(self, tmp_path):
         """A genuinely concurrent writer *process* republishing a snapshot
@@ -357,3 +360,36 @@ class TestShardedSynthesis:
             16, 16, n_shards=2, checkpoint_dir=checkpoint,
         )
         _assert_same_dataset(resumed.dataset, expected.dataset)
+        # A shard loaded from its committed result keeps its stage record.
+        stages = [s["name"] for s in resumed.health["stages"]]
+        assert "s2_synthesis_shard0" in stages
+        assert "s2_synthesis_shard1" in stages
+
+
+class TestPeerFeedbackOverBus:
+    def test_shard_steers_from_peer_tracker_without_coordinator(
+        self, service_registry, tmp_path
+    ):
+        """A shard adopts the merged drift of the peer statistics on the
+        bus at its first checkpoint, with no coordinator involved."""
+        bus = ShardStatsBus(tmp_path / "bus")
+        spec0, spec1 = plan_shards(60, 60, 2, seed=23)
+        synthesizer = _synthesizer(service_registry, 23)
+        _quiet_synthesize(synthesizer.synthesize_shard, spec0, bus=bus)
+        peer = bus.read_shards()[0]["tracker"]
+        expected, _ = merged_drift(
+            [peer], synthesizer.o_labeling, synthesizer.config
+        )
+        assert expected is not None
+
+        checkpoint = tmp_path / "shard1"
+        progress = checkpoint / "stage_s2_progress.json"
+        with pytest.raises(SynthesisInterrupted):
+            _quiet_synthesize(
+                _synthesizer(service_registry, 23).synthesize_shard,
+                spec1, checkpoint_dir=checkpoint, bus=bus,
+                stop=progress.exists,  # trips right after the first checkpoint
+            )
+        payload = StageCheckpointer(checkpoint).load_or_none("s2_progress")
+        assert payload["peer_jsd"] == expected
+        assert set(bus.read_shards()) == {0, 1}

@@ -282,7 +282,7 @@ class TestDLQForensics:
 
         queue = JobQueue(tmp_path / "queue")
         job = queue.submit("restaurant", max_attempts=1)
-        claimed = queue.claim_job(job.id, "w0")
+        claimed = queue.claim_job(job, "w0")
         assert claimed is not None
         queue.fail(job.id, "w0", "boom")
         dlq = DeadLetterQueue(queue)
@@ -300,7 +300,7 @@ class TestDLQForensics:
 
         queue = JobQueue(tmp_path / "queue")
         job = queue.submit("restaurant", max_attempts=1)
-        assert queue.claim_job(job.id, "w0") is not None
+        assert queue.claim_job(job, "w0") is not None
         queue.fail(job.id, "w0", "boom")
         dlq = DeadLetterQueue(queue)
         report = dlq.scrub()

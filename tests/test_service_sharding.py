@@ -5,6 +5,8 @@ targeted shard-lease claim under contention, crash-retry of a shard child,
 and the jittered empty-queue backoff in ``Worker.run_forever``.
 """
 
+import json
+import pathlib
 import random
 import threading
 import time
@@ -54,7 +56,7 @@ class TestShardLeaseRace:
         def race(worker_id):
             barrier.wait()
             results[worker_id] = queue.claim_job(
-                job.id, worker_id, lease_seconds=30
+                job, worker_id, lease_seconds=30
             )
 
         threads = [
@@ -72,11 +74,19 @@ class TestShardLeaseRace:
         assert record.worker == winners[0]
         # The loser retrying still loses while the lease is live.
         loser = ({"w0", "w1"} - set(winners)).pop()
-        assert queue.claim_job(job.id, loser, lease_seconds=30) is None
+        assert queue.claim_job(job, loser, lease_seconds=30) is None
+        # ... also when it re-reads the record first.
+        assert queue.claim_job(record, loser, lease_seconds=30) is None
 
     def test_claim_job_ignores_other_jobs(self, queue):
-        queue.submit("restaurant", n_a=4, n_b=4)
-        assert queue.claim_job("nope", "w0") is None
+        other = queue.submit("restaurant", n_a=4, n_b=4)
+        target = queue.submit("restaurant", n_a=4, n_b=4, kind="shard",
+                              shard_index=0, shards=2, parent="p0")
+        claimed = queue.claim_job(target, "w0")
+        assert claimed is not None and claimed.id == target.id
+        assert queue.get(other.id).status == "pending"
+        # A record read before the claim is not claimable by someone else.
+        assert queue.claim_job(target, "w1") is None
 
 
 class TestShardedJobEndToEnd:
@@ -98,6 +108,26 @@ class TestShardedJobEndToEnd:
         ids = [e.entity_id for e in dataset.table_a]
         assert len(dataset.table_a) == 14
         assert all(eid.startswith(("s0_", "s1_")) for eid in ids)
+
+    def test_health_has_one_s2_stage_per_shard(self, queue, service_registry):
+        """The coordinator's health report carries every shard's S2 stage
+        record (the shards ran as their own jobs), and their rejection
+        counters add up to the job's rejection stats."""
+        job = queue.submit("restaurant", n_a=14, n_b=14, seed=29, shards=2)
+        record = _run_to_done(queue, service_registry, job.id)
+        health = json.loads(pathlib.Path(record.result["health_path"]).read_text())
+        stages = {
+            s["name"]: s for s in health["stages"]
+            if s["name"].startswith("s2_synthesis")
+        }
+        assert sorted(stages) == ["s2_synthesis_shard0", "s2_synthesis_shard1"]
+        assert all(s["status"] == "completed" for s in stages.values())
+        stats = record.result["rejection_stats"]
+        assert sum(stats.values()) > 0
+        assert {
+            key: sum(s["counters"].get(key, 0) for s in stages.values())
+            for key in stats
+        } == stats
 
     def test_sharded_run_deterministic_across_jobs(
         self, queue, service_registry

@@ -7,6 +7,7 @@ bit-identical to an uninterrupted run under the same seed.
 
 import os
 import signal
+import subprocess
 import time
 
 import numpy as np
@@ -179,3 +180,38 @@ class TestWorkerPool:
         finally:
             pool.drain(timeout=10)
         assert pool.alive() == 0
+
+    def test_drain_deadline_ignores_wall_clock_jumps(self, monkeypatch):
+        """A wall-clock step during drain must neither cut the grace period
+        short (SIGKILLing a worker mid-checkpoint) nor stretch it."""
+
+        class _SlowToExit:
+            """Exits 1 s after SIGTERM; a shorter wait times out."""
+
+            def __init__(self):
+                self.waits = []
+                self.killed = False
+
+            def poll(self):
+                return None
+
+            def send_signal(self, signum):
+                assert signum == signal.SIGTERM
+
+            def wait(self, timeout=None):
+                self.waits.append(timeout)
+                if timeout is not None and timeout < 1.0:
+                    raise subprocess.TimeoutExpired("worker", timeout)
+                return 0
+
+            def kill(self):
+                self.killed = True
+
+        wall = iter(range(0, 10**6, 3600))  # every read jumps an hour ahead
+        monkeypatch.setattr(time, "time", lambda: float(next(wall)))
+        pool = WorkerPool("queue", "registry", n_workers=1)
+        proc = _SlowToExit()
+        pool._procs = [proc]
+        pool.drain(timeout=10)
+        assert not proc.killed
+        assert 9.0 <= proc.waits[0] <= 10.0
