@@ -265,14 +265,20 @@ def merged_drift(
     bootstrapped; ``config`` supplies the seed and ``jsd_samples``.
     """
     n_pairs = sum(int(s["n_pos"]) + int(s["n_neg"]) for s in tracker_states)
-    merged = merged_o_syn(tracker_states)
-    if merged is None:
-        return None, n_pairs
-    jsd = pair_distribution_jsd(
-        merged, o_labeling,
+    return o_syn_drift(merged_o_syn(tracker_states), o_labeling, config), n_pairs
+
+
+def o_syn_drift(
+    o_syn: PairDistribution | None, o_labeling: PairDistribution, config
+) -> float | None:
+    """``JSD(o_syn, O_labeling)`` on the loop's JSD stream; ``None`` for
+    an O_syn that has not bootstrapped."""
+    if o_syn is None:
+        return None
+    return pair_distribution_jsd(
+        o_syn, o_labeling,
         seed=config.seed + JSD_STREAM, n_samples=config.jsd_samples,
     )
-    return jsd, n_pairs
 
 
 class ShardStatsBus:

@@ -55,6 +55,10 @@ class EntityFactory:
         self.schema: Schema = similarity_model.schema
         self.categorical_values = categorical_values
         self.text_backends = text_backends
+        # Achieved similarities of every pool value against one anchor
+        # value, per (column, side, anchor value); bounded by the squared
+        # pool sizes, since anchors carry pool values too.
+        self._categorical_memo: dict[tuple[str, str, str], np.ndarray] = {}
         for side in self.SIDES:
             if side not in categorical_values:
                 raise ValueError(f"categorical_values missing side {side!r}")
@@ -103,13 +107,20 @@ class EntityFactory:
         # them.  Categorical similarities are mostly {0, 1}, so a
         # first-wins argmin would deterministically collapse the synthetic
         # column onto one value and destroy the cross-pair distribution.
-        gaps = []
-        for value in self.categorical_values[side][attr_name]:
-            achieved = self.similarity_model.value_similarity(attr_name, anchor, value)
-            gaps.append((abs(achieved - target), value))
-        best_gap = min(gap for gap, _ in gaps)
-        ties = [value for gap, value in gaps if gap <= best_gap + 1e-9]
-        return ties[int(rng.integers(len(ties)))]
+        pool = self.categorical_values[side][attr_name]
+        # Categorical columns are string-like: the similarity sees only
+        # the anchor's string form.
+        key = (attr_name, side, "" if anchor is None else str(anchor))
+        achieved = self._categorical_memo.get(key)
+        if achieved is None:
+            achieved = np.array([
+                self.similarity_model.value_similarity(attr_name, anchor, value)
+                for value in pool
+            ])
+            self._categorical_memo[key] = achieved
+        gaps = np.abs(achieved - target)
+        ties = np.flatnonzero(gaps <= gaps.min() + 1e-9)
+        return pool[int(ties[int(rng.integers(len(ties)))])]
 
     def _text(self, attr_name: str, anchor, target: float, rng: np.random.Generator):
         backend = self.text_backends[attr_name]

@@ -9,6 +9,7 @@ compares distributions with Jensen-Shannon divergence (Eq. 3).
 """
 
 from repro.distributions.divergence import (
+    evaluation_jsd,
     jensen_shannon_divergence,
     kl_divergence_monte_carlo,
     pair_distribution_jsd,
@@ -23,6 +24,7 @@ __all__ = [
     "GaussianMixture",
     "IncrementalGMM",
     "PairDistribution",
+    "evaluation_jsd",
     "fit_gmm",
     "jensen_shannon_divergence",
     "kl_divergence_monte_carlo",

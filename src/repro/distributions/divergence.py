@@ -2,9 +2,12 @@
 
 Paper Eq. 3 measures how far the synthetic O-distribution has drifted from
 the real one with ``JSD(p || q)``.  GMM mixtures admit no closed-form KL, so
-we estimate it with importance samples from each side.  The estimator shares
-a seed across calls in the rejection loop so accept/reject comparisons are
-stable (the same randomness evaluates both sides of Eq. 10).
+we estimate it with Monte-Carlo samples from each side.  In the rejection
+loop, :class:`PairJsdEstimator` draws the p-side points once per commit from
+the committed O_syn and scores each candidate ``O'_syn`` by importance
+weights on those same points, so both sides of Eq. 10 see the same sample
+noise and a candidate costs one density evaluation.  :func:`evaluation_jsd`
+is the large-sample figure fidelity checks use, seeded apart from the loop.
 """
 
 from __future__ import annotations
@@ -61,18 +64,28 @@ def jensen_shannon_divergence(
 
 
 class PairJsdEstimator:
-    """Fixed-seed JSD of many distributions against one fixed reference.
+    """``JSD(p', q)`` of many candidate distributions against one reference.
 
-    The rejection loop evaluates ``JSD(O'_syn, O_real)`` thousands of times
-    per run with the *same* ``O_real`` and the *same* seed.  The p- and
-    q-sides draw from independent substreams of ``seed``, so the reference
-    side's samples and log densities depend only on ``(dist_q, seed,
-    n_samples)`` and are computed once here instead of on every call —
-    profiling showed the repeated reference-side work dominating S2.
+    The rejection loop compares thousands of candidates ``O'_syn`` with the
+    same ``O_real`` (Eq. 10), and each candidate differs from the committed
+    O_syn by a single entity's ``Delta X_syn``.  So the estimator fixes its
+    Monte-Carlo points and reweights them instead of resampling:
 
-    Determinism contract: every call with the same ``dist_p`` returns the
-    same value, and both sides of the rejection inequality (Eq. 10) see the
-    same sample noise, exactly as the per-call construction guaranteed.
+    - the q-side points are drawn once from ``dist_q`` (substream
+      ``[seed, 2]``) and ``log q`` is cached there;
+    - :meth:`rebase` draws the p-side points from a *base* distribution
+      ``p`` (substream ``[seed, 1]``, once per commit in the rejection
+      loop) and caches ``log p`` at both point sets and ``log q`` at the
+      p-side points;
+    - a call scores ``p'`` with one ``log_pdf`` over both point sets.
+      ``KL(p' || m')`` is the mean over the p-side points under the
+      self-normalised importance weights ``p'(x) / p(x)``; ``KL(q || m')``
+      is the plain mean over the q-side points.
+
+    With ``p' = p`` the weights are uniform and the estimate is the plain
+    two-sample formula, so ``JSD(O_syn, O_real)`` and every candidate's
+    ``JSD(O'_syn, O_real)`` share their sample noise.  Every value is a
+    pure function of ``(base, dist_p, dist_q, seed, n_samples)``.
     """
 
     def __init__(self, dist_q, *, seed: int = 0, n_samples: int = 2048):
@@ -83,17 +96,29 @@ class PairJsdEstimator:
             self.half, np.random.default_rng([self.seed, 2])
         )[0]
         self._log_q_xq = dist_q.log_pdf(self._x_q)
+        self.base = None
+
+    def rebase(self, dist_p) -> None:
+        """Draw the p-side points from ``dist_p`` and cache its densities."""
+        x_p = dist_p.sample(self.half, np.random.default_rng([self.seed, 1]))[0]
+        self._points = np.vstack([x_p, self._x_q])
+        self._log_base = dist_p.log_pdf(self._points)
+        self._log_q_xp = self.dist_q.log_pdf(x_p)
+        self.base = dist_p
 
     def __call__(self, dist_p) -> float:
-        x_p = dist_p.sample(self.half, np.random.default_rng([self.seed, 1]))[0]
-        log_p_xp = dist_p.log_pdf(x_p)
-        log_m_xp = np.logaddexp(
-            _LOG_HALF + log_p_xp, _LOG_HALF + self.dist_q.log_pdf(x_p)
+        """``JSD(dist_p, dist_q)`` on the current base's points, in nats."""
+        if self.base is None:
+            raise RuntimeError("PairJsdEstimator has no base; call rebase() first")
+        log_p = (
+            self._log_base if dist_p is self.base else dist_p.log_pdf(self._points)
         )
-        kl_pm = max(0.0, float(np.mean(log_p_xp - log_m_xp)))
-        log_m_xq = np.logaddexp(
-            _LOG_HALF + dist_p.log_pdf(self._x_q), _LOG_HALF + self._log_q_xq
-        )
+        log_p_xp, log_p_xq = log_p[: self.half], log_p[self.half:]
+        log_w = log_p_xp - self._log_base[: self.half]
+        weights = np.exp(log_w - log_w.max())
+        log_m_xp = np.logaddexp(_LOG_HALF + log_p_xp, _LOG_HALF + self._log_q_xp)
+        kl_pm = max(0.0, float(np.average(log_p_xp - log_m_xp, weights=weights)))
+        log_m_xq = np.logaddexp(_LOG_HALF + log_p_xq, _LOG_HALF + self._log_q_xq)
         kl_qm = max(0.0, float(np.mean(self._log_q_xq - log_m_xq)))
         return float(np.clip(0.5 * kl_pm + 0.5 * kl_qm, 0.0, np.log(2.0)))
 
@@ -107,10 +132,31 @@ def pair_distribution_jsd(
 ) -> float:
     """JSD between two :class:`~repro.distributions.PairDistribution` objects.
 
-    Fresh generators are built from ``seed`` so repeated evaluations of the
-    same pair (e.g. both sides of the rejection inequality, Eq. 10) see the
-    same sample noise and compare apples to apples.  Loops evaluating many
-    candidates against one reference should hold a :class:`PairJsdEstimator`
-    instead, which caches the reference side across calls.
+    One-shot use of :class:`PairJsdEstimator` with ``dist_p`` as its own
+    base: generators are built from ``seed``, so repeated evaluations of the
+    same pair see the same sample noise.  Loops scoring many candidates
+    against one reference should hold an estimator instead, which caches
+    the reference side and reuses the base's points across candidates.
     """
-    return PairJsdEstimator(dist_q, seed=seed, n_samples=n_samples)(dist_p)
+    estimator = PairJsdEstimator(dist_q, seed=seed, n_samples=n_samples)
+    estimator.rebase(dist_p)
+    return estimator(dist_p)
+
+
+#: Sample size and seed of :func:`evaluation_jsd`.  Both are fixed and kept
+#: apart from the rejection estimator's (``SERDConfig.jsd_samples`` and the
+#: ``seed + JSD_STREAM`` stream), so a fidelity figure never moves with the
+#: rejection loop's own noise.
+EVALUATION_JSD_SAMPLES = 8192
+EVALUATION_JSD_SEED = 0xE7A1
+
+
+def evaluation_jsd(dist_p, dist_q) -> float:
+    """``JSD(dist_p, dist_q)`` for evaluation: fidelity checks and reports.
+
+    A large fixed sample with its own seed, so its Monte-Carlo error is
+    small next to the run-to-run spread it is meant to measure.
+    """
+    return pair_distribution_jsd(
+        dist_p, dist_q, seed=EVALUATION_JSD_SEED, n_samples=EVALUATION_JSD_SAMPLES
+    )

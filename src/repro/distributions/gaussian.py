@@ -24,14 +24,21 @@ def regularize_covariance(cov: np.ndarray, ridge: float = 1e-6) -> np.ndarray:
     Otherwise the ridge escalates x10 until Cholesky succeeds; similarity
     data routinely produces zero-variance dimensions.
     """
+    return _regularized_cholesky(cov, ridge)[0]
+
+
+def _regularized_cholesky(
+    cov: np.ndarray, ridge: float = 1e-6
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`regularize_covariance` plus the Cholesky factor of its result,
+    which the positive-definiteness probe has already computed."""
     cov = 0.5 * (cov + cov.T)
-    dim = cov.shape[0]
-    eye = np.eye(dim)
+    eye = np.eye(cov.shape[0])
     attempt = 0.0
     for _ in range(13):
+        candidate = cov + attempt * eye if attempt else cov
         try:
-            np.linalg.cholesky(cov + attempt * eye)
-            return cov + attempt * eye if attempt else cov
+            return candidate, np.linalg.cholesky(candidate)
         except np.linalg.LinAlgError:
             attempt = ridge if attempt == 0.0 else attempt * 10.0
     raise np.linalg.LinAlgError("covariance could not be regularized to PD")
@@ -46,7 +53,7 @@ class GaussianComponent:
 
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.covariance = regularize_covariance(
+        self.covariance, self._chol = _regularized_cholesky(
             np.asarray(self.covariance, dtype=np.float64)
         )
         if self.mean.ndim != 1:
@@ -56,7 +63,6 @@ class GaussianComponent:
                 f"covariance shape {self.covariance.shape} does not match "
                 f"mean of dimension {self.mean.size}"
             )
-        self._chol = np.linalg.cholesky(self.covariance)
         self._log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
         self._chol_inv: np.ndarray | None = None
 

@@ -94,10 +94,14 @@ class PairDistribution:
 
     def posterior_match(self, points: np.ndarray) -> np.ndarray:
         """``P_m(x) = pi p_m(x) / (pi p_m(x) + (1-pi) p_n(x))`` (Section IV-C)."""
-        log_m = np.log(self.match_probability) + self.match_distribution.log_pdf(points)
-        log_n = np.log1p(-self.match_probability) + self.non_match_distribution.log_pdf(
-            points
+        return self._posterior(
+            self.match_distribution.log_pdf(points),
+            self.non_match_distribution.log_pdf(points),
         )
+
+    def _posterior(self, log_pm: np.ndarray, log_pn: np.ndarray) -> np.ndarray:
+        log_m = np.log(self.match_probability) + log_pm
+        log_n = np.log1p(-self.match_probability) + log_pn
         return np.exp(log_m - np.logaddexp(log_m, log_n))
 
     def classify(self, points: np.ndarray) -> np.ndarray:
@@ -114,9 +118,14 @@ class PairDistribution:
         pairs that follow neither distribution, independent of the mixture
         prior.
         """
-        log_m = self.match_distribution.log_pdf(points)
-        log_n = self.non_match_distribution.log_pdf(points)
-        return np.maximum(log_m, log_n)
+        return self.score(points)[0]
+
+    def score(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(plausibility(points), classify(points))`` from one density
+        evaluation per side — what rejection asks of each candidate."""
+        log_pm = self.match_distribution.log_pdf(points)
+        log_pn = self.non_match_distribution.log_pdf(points)
+        return np.maximum(log_pm, log_pn), self._posterior(log_pm, log_pn) >= 0.5
 
     # ------------------------------------------------------------------
     # Sampling (S2-2)

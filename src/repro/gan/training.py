@@ -119,6 +119,7 @@ class TabularGAN:
         d_optimizer = Adam(self.discriminator.parameters(), self.config.learning_rate)
         g_optimizer = Adam(self.generator.parameters(), self.config.learning_rate)
         batch = min(self.config.batch_size, len(real))
+        self.discriminator.train()
         guard = TrainingGuard(
             (self.generator, self.discriminator),
             (d_optimizer, g_optimizer),
@@ -169,6 +170,8 @@ class TabularGAN:
                     guard.rollback()
         finally:
             self.health = guard.counters()
+        # A fitted GAN only scores: dropout stays off from here on.
+        self.discriminator.eval()
         self._fitted = True
         return self
 
@@ -233,6 +236,7 @@ class TabularGAN:
         self.health = {k: int(v) for k, v in meta.get("health", {}).items()}
         if meta.get("rng_state") is not None:
             self.rng.bit_generator.state = meta["rng_state"]
+        self.discriminator.eval()
         self._fitted = True
         return self
 
@@ -240,12 +244,6 @@ class TabularGAN:
         """P(entity is real) per the discriminator — rejection Case 1 input."""
         self._require_fitted()
         vector = self.encoder.encode(entity)
-        was_training = self.discriminator.training
-        self.discriminator.eval()
-        try:
-            with no_grad():
-                score = self.discriminator(Tensor(vector[None, :])).data[0, 0]
-        finally:
-            if was_training:
-                self.discriminator.train()
+        with no_grad():
+            score = self.discriminator(Tensor(vector[None, :])).data[0, 0]
         return float(score)

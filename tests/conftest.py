@@ -18,16 +18,20 @@ FAULT_TEST_TIMEOUT_SECONDS = 300
 
 
 def pytest_collection_modifyitems(config, items):
-    """Keep tier-1 (`pytest -x -q`) fast: privacy_audit-marked tests only
-    run when explicitly selected with ``-m privacy_audit`` (the CI
-    privacy-audit-smoke job does; the default run skips them)."""
+    """Keep tier-1 (`pytest -x -q`) fast: privacy_audit-marked tests and
+    the full fidelity suite (``fidelity(full=True)``) only run when
+    explicitly selected with ``-m privacy_audit`` / ``-m fidelity`` (the
+    CI jobs do; the default run skips them).  The fast fidelity variant,
+    plain ``fidelity``, always runs."""
     selected = config.getoption("-m") or ""
-    if "privacy_audit" in selected:
-        return
-    skip = pytest.mark.skip(reason="needs -m privacy_audit")
     for item in items:
-        if item.get_closest_marker("privacy_audit") is not None:
-            item.add_marker(skip)
+        if "privacy_audit" not in selected and item.get_closest_marker(
+            "privacy_audit"
+        ):
+            item.add_marker(pytest.mark.skip(reason="needs -m privacy_audit"))
+        fidelity = item.get_closest_marker("fidelity")
+        if "fidelity" not in selected and fidelity and fidelity.kwargs.get("full"):
+            item.add_marker(pytest.mark.skip(reason="needs -m fidelity"))
 
 
 @pytest.fixture(autouse=True)
