@@ -24,8 +24,12 @@ from repro.similarity.vector import SimilarityModel
 from . import densities, similarity
 
 
-def jsd_eval(policy: RejectionPolicy, dist_p) -> float:
-    """``RejectionPolicy._jsd_eval`` with both sides resampled per call."""
+def jsd_eval(policy: RejectionPolicy, dist_p, rebase: bool = False) -> float:
+    """``RejectionPolicy._jsd_eval`` with both sides resampled per call.
+
+    No estimator is built and ``rebase`` has nothing to do: every call
+    draws its own points.
+    """
     dist_q = policy.tracker.o_real
     rng = np.random.default_rng(policy.jsd_seed)
     return jensen_shannon_divergence(
