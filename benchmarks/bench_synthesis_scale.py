@@ -15,7 +15,7 @@ the paper's scalability regime) four ways:
   ``shards=1`` job runs).
 - ``workers=N``: a real :class:`~repro.service.worker.WorkerPool` of N
   subprocess workers draining one ``shards=N`` job — coordinator fan-out,
-  cross-shard O_syn steering, streaming merge + S3.
+  per-shard Eq. 10 rejection, streaming merge + S3.
 
 Tracks entities/second and peak RSS per configuration.  The acceptance
 bar is >= 3x throughput at 4 workers over the sequential baseline; on a

@@ -109,9 +109,7 @@ class SERDConfig:
         is skipped) instead of failing.  ``False`` re-raises.
     checkpoint_every:
         Accepted entities between S2 progress checkpoints when
-        ``synthesize`` is given a checkpoint directory.  In sharded runs
-        this is also the cadence of the O_syn publish/steer exchange with
-        the coordinator's stats bus.
+        ``synthesize`` is given a checkpoint directory.
     labeling_chunk_size:
         Cross pairs scored per batch during S3 labeling and rows buffered
         per chunk during dataset export — the streaming memory bound; peak

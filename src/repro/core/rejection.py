@@ -245,19 +245,6 @@ class RejectionPolicy:
         }
         self._cached_jsd_current: float | None = None
         self._jsd: PairJsdEstimator | None = None
-        # Cross-shard steering (sharded synthesis): the merged O_syn drift
-        # of this shard's peers and its pair count.  When set, the Eq. 10
-        # baseline becomes the pair-count-weighted blend of local and peer
-        # JSD, so a shard steers toward the *global* target distribution.
-        # None means no peers — the baseline is purely local, exactly the
-        # sequential loop's behavior.
-        self.peer_jsd: float | None = None
-        self.peer_pairs: int = 0
-
-    def set_peer_feedback(self, jsd: float | None, n_pairs: int) -> None:
-        """Adopt the peers' merged O_syn drift (``None`` clears it)."""
-        self.peer_jsd = None if jsd is None else float(jsd)
-        self.peer_pairs = int(n_pairs) if jsd is not None else 0
 
     def _jsd_eval(self, dist_p, rebase: bool = False) -> float:
         """``JSD(dist_p, O_real)`` on the estimator's current points.
@@ -378,12 +365,6 @@ class RejectionPolicy:
         ):
             updated = self.tracker.candidate(delta_vectors, is_match)
             jsd_current = self._jsd_baseline()
-            if self.peer_jsd is not None and self.peer_pairs > 0:
-                total = self.tracker.total_pairs + self.peer_pairs
-                jsd_current = (
-                    self.tracker.total_pairs * jsd_current
-                    + self.peer_pairs * self.peer_jsd
-                ) / total
             jsd_candidate = self._jsd_eval(updated)
             # Eq. 10 plus an absolute Monte-Carlo slack so a near-zero
             # baseline JSD does not reject every candidate on noise.

@@ -1,4 +1,4 @@
-"""Shard planning, merging and cross-shard statistics for S2 synthesis.
+"""Shard planning and merging for S2 synthesis.
 
 The S2 loop synthesizes ``n_a + n_b`` entities one at a time.  To scale past
 one core, the target sizes are partitioned into :class:`ShardSpec` slices;
@@ -12,18 +12,16 @@ Single-shard plans are the equivalence oracle: ``plan_shards(n_a, n_b, 1)``
 produces a spec whose id prefix and RNG are exactly the unsharded loop's,
 so ``n_shards=1`` output does not depend on sharding at all.
 
-Cross-shard steering: at each checkpoint boundary a shard publishes its
-live O_syn sufficient statistics (:class:`~repro.distributions.incremental.
-IncrementalGMM` dumps) through a :class:`ShardStatsBus`, reads its peers'
-latest dumps from the same bus, and merges them into the peers' drift
-``JSD(O_syn_peers, O_real)`` (:func:`merged_drift`), so its Eq. 10
-baseline blends its local drift with its peers' instead of steering toward
-a purely local optimum.  No coordinator takes part in the exchange.
+Each shard applies Eq. 10 to its own O_syn only, so a shard's output is a
+function of the model and its :class:`ShardSpec` alone: it does not depend
+on which worker runs it, in which order, or whether it was resumed.  The
+merged O_syn is the pair-weighted mixture of the shards' O_syns
+(:func:`merged_o_syn`), and JSD is jointly convex, so the merged drift is
+at most the pair-weighted mean of the shards' drifts that Eq. 10 bounds.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +30,6 @@ from repro.distributions.divergence import pair_distribution_jsd
 from repro.distributions.gaussian import GaussianComponent
 from repro.distributions.gmm import GaussianMixture
 from repro.distributions.mixture import PairDistribution
-from repro.runtime.io import as_path, atomic_write_json, read_json
 from repro.schema.entity import Entity
 
 # Salt for per-shard RNG streams: keeps shard streams disjoint from every
@@ -41,8 +38,8 @@ from repro.schema.entity import Entity
 _SHARD_STREAM = 0x5E4D
 
 #: Salt of the JSD estimator's sample stream (``seed + JSD_STREAM``): Eq. 10
-#: inside the loop, peer feedback and the reported ``jsd_final`` all draw
-#: their Monte-Carlo points from it.
+#: inside the loop and the reported ``jsd_final`` both draw their
+#: Monte-Carlo points from it.
 JSD_STREAM = 23
 
 
@@ -255,19 +252,6 @@ def merged_o_syn(tracker_states: list[dict]) -> PairDistribution | None:
     return PairDistribution(pi, sides["pos"], sides["neg"])
 
 
-def merged_drift(
-    tracker_states: list[dict], o_labeling: PairDistribution, config
-) -> tuple[float | None, int]:
-    """``(JSD(merged O_syn, O_labeling), pair count)`` over tracker dumps.
-
-    The steering signal a shard receives from its peers and the reported
-    ``jsd_final`` of a merged run.  The JSD is ``None`` while no state has
-    bootstrapped; ``config`` supplies the seed and ``jsd_samples``.
-    """
-    n_pairs = sum(int(s["n_pos"]) + int(s["n_neg"]) for s in tracker_states)
-    return o_syn_drift(merged_o_syn(tracker_states), o_labeling, config), n_pairs
-
-
 def o_syn_drift(
     o_syn: PairDistribution | None, o_labeling: PairDistribution, config
 ) -> float | None:
@@ -279,41 +263,3 @@ def o_syn_drift(
         o_syn, o_labeling,
         seed=config.seed + JSD_STREAM, n_samples=config.jsd_samples,
     )
-
-
-class ShardStatsBus:
-    """File-based publish/subscribe bus for cross-shard O_syn statistics.
-
-    Each shard atomically writes its tracker dump to ``shard_<i>.json`` and
-    reads its peers' files; there is no other file and no other role.
-    All writes go through tmp + ``os.replace`` so readers never observe a
-    torn file, and a missing or not-yet-written file simply reads as "no
-    statistics yet" — the bus imposes no ordering on its participants.
-
-    Snapshots are sealed with the standard integrity envelope (see
-    :mod:`repro.runtime.integrity`): a snapshot that fails its checksum is
-    quarantined by ``read_json`` and the read degrades to "no statistics
-    yet" for that shard — :class:`CorruptArtifactError` is a ``ValueError``,
-    so the skip branch below covers both racing writers and rotted files.
-    The publisher re-publishes on its next sync, repairing the gap.
-    """
-
-    def __init__(self, directory: str | os.PathLike):
-        self.directory = as_path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def publish_shard(self, index: int, payload: dict) -> None:
-        atomic_write_json(self.directory / f"shard_{index}.json", payload)
-
-    def read_shards(self) -> dict[int, dict]:
-        out: dict[int, dict] = {}
-        for path in sorted(self.directory.glob("shard_*.json")):
-            try:
-                index = int(path.stem.split("_", 1)[1])
-            except ValueError:
-                continue
-            try:
-                out[index] = read_json(path, what="shard statistics")
-            except (ValueError, OSError):
-                continue  # racing writer or vanished file: skip this round
-        return out

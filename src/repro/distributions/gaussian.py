@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -79,14 +79,19 @@ class GaussianComponent:
     def chol_inverse(self) -> np.ndarray:
         """``L^{-1}`` with ``Sigma = L L^T``, solved once and cached.
 
-        Turns every later Mahalanobis evaluation into a single matmul
-        (triangular solves carry per-call LAPACK wrapper overhead that
-        dwarfs the arithmetic at d = 4-8).
+        Turns every later Mahalanobis evaluation into a single matmul.
+        Every new mixture component solves once, so this calls LAPACK's
+        ``dtrtrs`` (what ``scipy.linalg.solve_triangular`` wraps) directly:
+        the wrapper's argument checks cost several times the solve at
+        d = 4-8, and the result is the same array.
         """
         if self._chol_inv is None:
-            self._chol_inv = solve_triangular(
-                self._chol, np.eye(self.dim), lower=True
-            )
+            inverse, info = dtrtrs(self._chol, np.eye(self.dim), lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"Cholesky factor is singular (dtrtrs info {info})"
+                )
+            self._chol_inv = inverse
         return self._chol_inv
 
     def log_pdf(self, points: np.ndarray) -> np.ndarray:

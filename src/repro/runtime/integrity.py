@@ -50,8 +50,8 @@ class CorruptArtifactError(ValueError):
     """A durable artifact failed integrity verification (or JSON parsing).
 
     Subclasses :class:`ValueError` deliberately: every pre-envelope
-    skip-corrupt-record path in the queue, stats bus and checkpoint
-    pointer already catches ``ValueError``, so typed corruption rides the
+    skip-corrupt-record path in the queue and the checkpoint pointer
+    already catches ``ValueError``, so typed corruption rides the
     same recovery rails.  Carries the offending ``path``, the ``reason``
     and where the file was quarantined to (``None`` when quarantine was
     suppressed or failed).

@@ -134,22 +134,6 @@ class LoadedModel:
         self.entry = entry
         self.lock = threading.Lock()
 
-    def generation_stats(self) -> dict | None:
-        """Aggregate decode telemetry across this model's backends."""
-        totals = {"generate_calls": 0, "cached_tokens": 0, "backends": 0}
-        backends = getattr(self.synthesizer, "_text_backends", {}) or {}
-        seen = False
-        for backend in backends.values():
-            stats_fn = getattr(backend, "generation_stats", None)
-            if stats_fn is None:
-                continue
-            seen = True
-            stats = stats_fn()
-            totals["backends"] += 1
-            for key in ("generate_calls", "cached_tokens"):
-                totals[key] += int(stats.get(key, 0))
-        return totals if seen else None
-
     def score_pairs(self, pairs_payload: list) -> dict:
         """Batch-score raw record pairs; returns vectors + posteriors."""
         model = self.synthesizer.similarity_model
@@ -310,16 +294,20 @@ class ServiceContext:
         return None
 
     def _generation_snapshot(self) -> dict:
-        """Decode counters summed over every loaded model."""
+        """Decode counters summed over the text backends of every loaded
+        model that keep them (rule backends do not)."""
         totals = {"generate_calls": 0, "cached_tokens": 0, "backends": 0}
         with self._models_lock:
             loaded = list(self._models.values())
         for model in loaded:
-            stats = model.generation_stats()
-            if stats is None:
-                continue
-            for key in totals:
-                totals[key] += int(stats.get(key, 0))
+            for backend in model.synthesizer._text_backends.values():
+                stats_fn = getattr(backend, "generation_stats", None)
+                if stats_fn is None:
+                    continue
+                stats = stats_fn()
+                totals["backends"] += 1
+                for key in ("generate_calls", "cached_tokens"):
+                    totals[key] += int(stats.get(key, 0))
         return totals
 
 

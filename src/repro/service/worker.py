@@ -52,7 +52,7 @@ import uuid
 
 import numpy as np
 
-from repro.core.sharding import ShardRun, ShardSpec, ShardStatsBus, plan_shards
+from repro.core.sharding import ShardRun, ShardSpec, plan_shards
 from repro.runtime.cancellation import (
     CancellationToken,
     LinkedCancellationToken,
@@ -274,16 +274,8 @@ class Worker:
         spec = ShardSpec(
             int(job.shard_index), int(job.shards), int(job.n_a), int(job.n_b), seed
         )
-        bus = (
-            ShardStatsBus(self.queue.result_dir(job.parent) / "bus")
-            if job.parent
-            else None
-        )
         run = synthesizer.synthesize_shard(
-            spec,
-            checkpoint_dir=result_dir / "checkpoint",
-            stop=stop,
-            bus=bus,
+            spec, checkpoint_dir=result_dir / "checkpoint", stop=stop
         )
         atomic_write_json(result_dir / "shard_result.json", run.to_payload())
         shard_result = {
@@ -307,10 +299,10 @@ class Worker:
         shard (a restarted coordinator re-submits and observes the same
         records — no duplicates), then waits for them, and — so a lone
         worker can still finish the job — claims and runs its own pending
-        shards inline.  The shards steer each other through the job's
-        stats bus without the coordinator.  When every shard is done it
-        merges the shard runs and performs the streaming S3 + export
-        exactly once.
+        shards inline.  A shard's result depends only on the model and its
+        spec, not on which worker ran it or in which order.  When every
+        shard is done it merges the shard runs and performs the streaming
+        S3 + export exactly once.
         """
         result_dir = self.queue.result_dir(job.id)
         synthesizer, entry = self._load(job)

@@ -5,30 +5,29 @@ The load-bearing invariants from the sharding design:
 - ``plan_shards(n_a, n_b, 1)`` is the equivalence oracle: ``n_shards=1``
   must be bit-identical to the unsharded loop.
 - In-process multi-shard runs are deterministic functions of
-  (model, seed, n_shards).
+  (model, seed, n_shards), and each shard's result depends only on the
+  model and its spec, not on the order the shards run in.
 - Interrupting a sharded run mid-S2 and resuming from its checkpoints
   yields the same merged dataset as an uninterrupted run.
 - ``merged_o_syn`` of a single tracker state reproduces that tracker's
   ``current()`` distribution exactly.
 """
 
-import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.core import SERDConfig
+from repro.core import SERDConfig, SERDSynthesizer
 from repro.core.rejection import DistributionTracker
 from repro.core.sharding import (
     ShardRun,
     ShardSpec,
-    ShardStatsBus,
-    merged_drift,
     merged_o_syn,
     plan_shards,
     shard_rng,
 )
+from repro.datasets import load_dataset
 from repro.distributions.gaussian import GaussianComponent
 from repro.distributions.gmm import GaussianMixture
 from repro.distributions.mixture import PairDistribution
@@ -36,6 +35,23 @@ from repro.runtime.cancellation import SynthesisInterrupted
 from repro.runtime.checkpoint import StageCheckpointer
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedInterrupt, inject_faults
 from repro.schema import make_schema
+
+
+@pytest.fixture(scope="module")
+def eq10_model():
+    """A model on which Eq. 10 decides candidates at small sizes; the
+    session's service model rejects every candidate by discriminator."""
+    synthesizer = SERDSynthesizer(SERDConfig(seed=7))
+    synthesizer.fit(load_dataset("restaurant", scale=0.1, seed=7))
+    return synthesizer
+
+
+def _run_key(run):
+    """A shard run's payload without its timings and stage record."""
+    payload = run.to_payload()
+    for key in ("elapsed_seconds", "peak_rss_kb", "health"):
+        del payload[key]
+    return payload
 
 
 class TestPlanShards:
@@ -144,6 +160,32 @@ class TestShardRunRoundTrip:
         expected["health"] = None
         assert run.to_payload() == expected
 
+    def test_progress_with_retired_peer_keys_resumes(self, eq10_model, tmp_path):
+        """An ``s2_progress`` payload written while shards still steered
+        each other carries ``peer_jsd``/``peer_pairs``.  It resumes, the
+        keys are ignored, and the shard finishes as an uninterrupted run."""
+        spec = plan_shards(30, 30, 2, seed=7)[1]
+        expected = _quiet_synthesize(eq10_model.synthesize_shard, spec)
+
+        polls = []
+        with pytest.raises(SynthesisInterrupted):
+            _quiet_synthesize(
+                eq10_model.synthesize_shard, spec, checkpoint_dir=tmp_path,
+                stop=lambda: polls.append(None) or len(polls) > 20,
+            )
+        checkpointer = StageCheckpointer(tmp_path)
+        payload = checkpointer.load_or_none("s2_progress")
+        assert len(payload["a_entities"]) + len(payload["b_entities"]) == 21
+        checkpointer.commit(
+            "s2_progress", {**payload, "peer_jsd": 0.0, "peer_pairs": 10**6}
+        )
+
+        resumed = _quiet_synthesize(
+            eq10_model.synthesize_shard, spec, checkpoint_dir=tmp_path
+        )
+        assert resumed.health["counters"]["resumed_entities"] >= 21
+        assert _run_key(resumed) == _run_key(expected)
+
 
 def _toy_o_real(dim=2):
     def gmm(mean):
@@ -212,67 +254,6 @@ class TestMergedOSyn:
         )
 
 
-class TestShardStatsBus:
-    def test_publish_and_read_shards(self, tmp_path):
-        bus = ShardStatsBus(tmp_path / "bus")
-        bus.publish_shard(0, {"n_pos": 3})
-        bus.publish_shard(2, {"n_pos": 5})
-        shards = bus.read_shards()
-        assert set(shards) == {0, 2}
-        assert shards[2] == {"n_pos": 5}
-
-    def test_torn_file_skipped(self, tmp_path):
-        bus = ShardStatsBus(tmp_path / "bus")
-        bus.publish_shard(0, {"n_pos": 3})
-        (tmp_path / "bus" / "shard_1.json").write_text("{torn")
-        assert set(bus.read_shards()) == {0}
-
-    def test_concurrent_writer_process_never_breaks_reads(self, tmp_path):
-        """A genuinely concurrent writer *process* republishing a snapshot
-        in a tight loop while this process reads: every read must return a
-        complete, verified snapshot or skip the shard — never raise, never
-        hand back a torn or garbled payload."""
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        bus_dir = tmp_path / "bus"
-        writer = (
-            "import sys\n"
-            "from repro.core.sharding import ShardStatsBus\n"
-            "bus = ShardStatsBus(sys.argv[1])\n"
-            "for i in range(400):\n"
-            "    bus.publish_shard(0, {'n_pos': i, 'blob': 'x' * 2048})\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(pathlib.Path(repro.__file__).resolve().parents[1])]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        process = subprocess.Popen(
-            [sys.executable, "-c", writer, str(bus_dir)], env=env
-        )
-        bus = ShardStatsBus(bus_dir)
-        observed = []
-        try:
-            while process.poll() is None:
-                shards = bus.read_shards()  # must never raise
-                if 0 in shards:
-                    payload = shards[0]
-                    assert set(payload) == {"n_pos", "blob"}
-                    assert len(payload["blob"]) == 2048
-                    observed.append(payload["n_pos"])
-        finally:
-            process.wait(timeout=60)
-        assert process.returncode == 0
-        final = bus.read_shards()
-        assert final[0]["n_pos"] == 399
-        # Writes were observed in publication order (atomic replaces).
-        assert observed == sorted(observed)
-
-
 # ----------------------------------------------------------------------
 # Integration: sharded synthesis against the session's fitted model.
 # ----------------------------------------------------------------------
@@ -338,6 +319,28 @@ class TestShardedSynthesis:
         assert len(set(ids)) == len(ids)
         assert all(eid.startswith(("s0_", "s1_")) for eid in ids)
 
+    def test_shard_result_independent_of_run_order(self, eq10_model, tmp_path):
+        """Shard 1 run on its own, before shard 0, gives the result the
+        in-process plan commits for it, and merging the two standalone runs
+        gives the in-process dataset."""
+        spec0, spec1 = plan_shards(30, 30, 2, seed=7)
+        run1 = _quiet_synthesize(eq10_model.synthesize_shard, spec1)
+        run0 = _quiet_synthesize(eq10_model.synthesize_shard, spec0)
+        # Eq. 10 does decide candidates here, so a peer-dependent baseline
+        # would change the shard's output.
+        assert run1.rejection_stats["distribution"] > 0
+
+        expected = _quiet_synthesize(
+            eq10_model.synthesize, 30, 30, n_shards=2, checkpoint_dir=tmp_path
+        )
+        committed = ShardRun.from_payload(
+            StageCheckpointer(tmp_path).load_or_none("s2_shard1_result"),
+            eq10_model._real.schema,
+        )
+        assert _run_key(run1) == _run_key(committed)
+        merged = eq10_model.assemble_shard_runs([run0, run1], 30, 30)
+        _assert_same_dataset(merged.dataset, expected.dataset)
+
     def test_interrupt_resume_bit_identical(self, service_registry, tmp_path):
         """Satellite: kill a sharded run mid-S2, resume, same dataset."""
         expected = _quiet_synthesize(
@@ -364,32 +367,3 @@ class TestShardedSynthesis:
         stages = [s["name"] for s in resumed.health["stages"]]
         assert "s2_synthesis_shard0" in stages
         assert "s2_synthesis_shard1" in stages
-
-
-class TestPeerFeedbackOverBus:
-    def test_shard_steers_from_peer_tracker_without_coordinator(
-        self, service_registry, tmp_path
-    ):
-        """A shard adopts the merged drift of the peer statistics on the
-        bus at its first checkpoint, with no coordinator involved."""
-        bus = ShardStatsBus(tmp_path / "bus")
-        spec0, spec1 = plan_shards(60, 60, 2, seed=23)
-        synthesizer = _synthesizer(service_registry, 23)
-        _quiet_synthesize(synthesizer.synthesize_shard, spec0, bus=bus)
-        peer = bus.read_shards()[0]["tracker"]
-        expected, _ = merged_drift(
-            [peer], synthesizer.o_labeling, synthesizer.config
-        )
-        assert expected is not None
-
-        checkpoint = tmp_path / "shard1"
-        progress = checkpoint / "stage_s2_progress.json"
-        with pytest.raises(SynthesisInterrupted):
-            _quiet_synthesize(
-                _synthesizer(service_registry, 23).synthesize_shard,
-                spec1, checkpoint_dir=checkpoint, bus=bus,
-                stop=progress.exists,  # trips right after the first checkpoint
-            )
-        payload = StageCheckpointer(checkpoint).load_or_none("s2_progress")
-        assert payload["peer_jsd"] == expected
-        assert set(bus.read_shards()) == {0, 1}

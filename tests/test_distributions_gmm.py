@@ -38,6 +38,21 @@ class TestGaussianComponent:
         with pytest.raises(ValueError):
             GaussianComponent(np.zeros(2), np.eye(3))
 
+    def test_chol_inverse_equals_solve_triangular(self, rng):
+        """The direct LAPACK call returns exactly what the scipy wrapper
+        returned, so seeded outputs stay byte-identical."""
+        from scipy.linalg import solve_triangular
+
+        for _ in range(800):
+            d = int(rng.integers(4, 9))
+            a = rng.normal(size=(d, d + 3))
+            cov = a @ a.T / d + np.eye(d) * rng.uniform(1e-6, 1.0)
+            component = GaussianComponent(np.zeros(d), cov)
+            expected = solve_triangular(
+                np.linalg.cholesky(component.covariance), np.eye(d), lower=True
+            )
+            assert np.array_equal(component.chol_inverse, expected)
+
     def test_functional_form(self):
         value = log_gaussian_pdf(np.zeros((1, 1)), np.zeros(1), np.eye(1))
         assert value[0] == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-5)

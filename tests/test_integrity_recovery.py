@@ -9,8 +9,7 @@ accepted as truth.
 
 Artifact classes covered: checkpoint stage payloads, the checkpoint
 manifest (+ its backup), queue job records, shard results (through the
-coordinator), registry version metadata, stats-bus snapshots, and the
-streamed dataset export (in test_fault_injection_net.py, where the
+coordinator), registry version metadata, and the streamed dataset export (in test_fault_injection_net.py, where the
 transport faults live).
 """
 
@@ -21,7 +20,6 @@ import warnings
 import pytest
 
 from repro.core import SERDConfig, SERDSynthesizer
-from repro.core.sharding import ShardStatsBus
 from repro.datasets import load_dataset
 from repro.gan import TabularGANConfig
 from repro.runtime import integrity
@@ -236,44 +234,6 @@ class TestRegistryMeta:
         with pytest.warns(RuntimeWarning, match="quarantined and skipped"):
             assert registry.versions("restaurant") == []
         assert _quarantine_files(clone_root)
-
-
-class TestStatsBusSnapshot:
-    def test_corrupt_snapshot_reads_as_absent(self, tmp_path):
-        bus = ShardStatsBus(tmp_path / "bus")
-        bus.publish_shard(0, {"n": 5})
-        bus.publish_shard(1, {"n": 7})
-        _garble(tmp_path / "bus" / "shard_0.json")
-
-        shards = bus.read_shards()
-        assert shards == {1: {"n": 7}}  # corrupt shard: "no statistics yet"
-        assert _quarantine_files(tmp_path / "bus")
-        # The publisher's next sync repairs the gap.
-        bus.publish_shard(0, {"n": 6})
-        assert bus.read_shards() == {0: {"n": 6}, 1: {"n": 7}}
-
-    @pytest.mark.fault_injection
-    def test_enospc_burst_then_republish_repairs(self, tmp_path):
-        """An ENOSPC burst mid-publish: the atomic write means readers keep
-        seeing the last healthy snapshot through the burst (stale-but-valid
-        peer feedback, never garbage), and the first write after space
-        returns repairs the bus — no janitor, no torn file."""
-        from repro.runtime.faults import FaultPlan, FaultSpec, inject_faults
-
-        bus = ShardStatsBus(tmp_path / "bus")
-        bus.publish_shard(0, {"n": 5})
-
-        plan = FaultPlan(FaultSpec("io.write", at_calls=(1, 2)))
-        with inject_faults(plan):
-            for _ in range(2):  # two publishes die in the burst
-                with pytest.raises(OSError):
-                    bus.publish_shard(0, {"n": 6})
-                assert bus.read_shards() == {0: {"n": 5}}
-            # Space comes back (call 3 is past the burst): same API call,
-            # no special recovery path, and the snapshot is current again.
-            bus.publish_shard(0, {"n": 7})
-        assert plan.fired("io.write") == 2
-        assert bus.read_shards() == {0: {"n": 7}}
 
 
 class TestDLQForensics:

@@ -237,19 +237,28 @@ class TestGenerationCacheSwitch:
         for value in generation.values():
             assert value == 0  # rule backend: nothing to count
 
-    def test_switch_reaches_transformer_backends(self):
-        """LoadedModel still finds every transformer text backend for
-        ``/stats``, and neither it nor the backend keeps a decode switch."""
+    def test_switch_reaches_transformer_backends(self, served):
+        """``/stats`` sums the decode counters of every loaded text backend
+        that keeps them, and neither the model nor the backend keeps a
+        decode switch."""
         from types import SimpleNamespace
 
         from repro.service.api import LoadedModel
         from repro.textgen.transformer_backend import TransformerTextSynthesizer
 
+        client, _, context = served
         backend = TransformerTextSynthesizer()
-        synthesizer = SimpleNamespace(_text_backends={"name": backend})
+        stub = SimpleNamespace(
+            generation_stats=lambda: {"generate_calls": 3, "cached_tokens": 40}
+        )
+        synthesizer = SimpleNamespace(
+            _text_backends={"name": backend, "addr": stub, "city": SimpleNamespace()}
+        )
         loaded = LoadedModel(synthesizer, entry=None)
-        stats = loaded.generation_stats()
-        assert stats == {"generate_calls": 0, "cached_tokens": 0, "backends": 1}
+        context._models[("stub", "v1")] = loaded
+        assert client.stats()["generation"] == {
+            "generate_calls": 3, "cached_tokens": 40, "backends": 2
+        }
         assert not hasattr(loaded, "set_generation_cache")
         assert not hasattr(backend, "set_generation_cache")
         assert not hasattr(backend.config, "generation_cache")

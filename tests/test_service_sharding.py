@@ -2,7 +2,9 @@
 
 Covers the coordinator protocol (fan-out, inline claiming, merge), the
 targeted shard-lease claim under contention, crash-retry of a shard child,
-and the jittered empty-queue backoff in ``Worker.run_forever``.
+and the jittered empty-queue backoff in ``Worker.run_forever``.  A sharded
+job's oracle is in-process ``synthesize(n_shards=k)`` on the same model:
+the service plans shards from the job seed, so those jobs carry none.
 """
 
 import json
@@ -15,14 +17,36 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core import SERDConfig
+from repro.datasets import load_dataset
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedInterrupt, inject_faults
 from repro.schema.io import load_saved_dataset
-from repro.service import JobQueue, Worker
+from repro.service import JobQueue, ModelRegistry, Worker
 
 
 @pytest.fixture
 def queue(tmp_path):
     return JobQueue(tmp_path / "queue")
+
+
+@pytest.fixture(scope="module")
+def eq10_registry(tmp_path_factory):
+    """A registry whose model lets Eq. 10 decide candidates at small sizes
+    (the session's service model rejects every candidate by
+    discriminator), with the default checkpoint cadence."""
+    registry = ModelRegistry(tmp_path_factory.mktemp("eq10_registry"))
+    registry.register(
+        "restaurant", load_dataset("restaurant", scale=0.1, seed=7),
+        SERDConfig(seed=7),
+    )
+    return registry
+
+
+def _in_process(registry, n_a, n_b, n_shards):
+    synthesizer, _ = registry.load("restaurant")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return synthesizer.synthesize(n_a, n_b, n_shards=n_shards)
 
 
 def _run_to_done(queue, registry, job_id, worker_id="w0", attempts=6):
@@ -129,6 +153,18 @@ class TestShardedJobEndToEnd:
             for key in stats
         } == stats
 
+    def test_one_worker_job_matches_in_process(self, queue, eq10_registry):
+        """A one-worker sharded job gives the dataset of in-process
+        ``synthesize(n_shards=2)`` on the same model."""
+        job = queue.submit("restaurant", n_a=30, n_b=30, shards=2)
+        record = _run_to_done(queue, eq10_registry, job.id)
+        expected = _in_process(eq10_registry, 30, 30, n_shards=2)
+        assert expected.rejection_stats["distribution"] > 0
+        assert record.result["rejection_stats"] == expected.rejection_stats
+        assert _dataset_tuple(
+            load_saved_dataset(record.result["dataset_dir"])
+        ) == _dataset_tuple(expected.dataset)
+
     def test_sharded_run_deterministic_across_jobs(
         self, queue, service_registry
     ):
@@ -165,13 +201,11 @@ class TestShardedJobEndToEnd:
         """A crash inside a shard the coordinator runs itself is a crash,
         not a failure: the child is left ``running`` with no attempt burned
         at crash time, its lease expires, and a rescuer resumes it from its
-        own checkpoint; the merged dataset matches an undisturbed run."""
-        clean = queue.submit("restaurant", n_a=12, n_b=12, seed=37, shards=2)
-        expected = load_saved_dataset(
-            _run_to_done(queue, service_registry, clean.id).result["dataset_dir"]
-        )
+        own checkpoint; the merged dataset matches in-process
+        ``synthesize(n_shards=2)``."""
+        expected = _in_process(service_registry, 12, 12, n_shards=2).dataset
 
-        job = queue.submit("restaurant", n_a=12, n_b=12, seed=37, shards=2)
+        job = queue.submit("restaurant", n_a=12, n_b=12, shards=2)
         crasher = Worker(
             queue, service_registry, worker_id="crasher", lease_seconds=0.2
         )
