@@ -246,32 +246,24 @@ class RejectionPolicy:
         self._cached_jsd_current: float | None = None
         self._jsd: PairJsdEstimator | None = None
 
-    def _jsd_eval(self, dist_p, rebase: bool = False) -> float:
-        """``JSD(dist_p, O_real)`` on the estimator's current points.
-
-        ``rebase=True`` marks ``dist_p`` as the committed O_syn: the
-        :class:`PairJsdEstimator` first draws from it the p-side points
-        every candidate of the coming slot is weighed on.  The O_real side
-        is sampled once per policy, when the estimator is built here.  The
-        estimator lives behind this one method, so the seed-path reference
-        (``tests/reference/seed_path.py``) swaps all of it out.
-        """
-        if self._jsd is None:
-            self._jsd = PairJsdEstimator(
-                self.tracker.o_real,
-                seed=self.jsd_seed,
-                n_samples=self.config.jsd_samples,
-            )
-        if rebase:
-            self._jsd.rebase(dist_p)
-        return self._jsd(dist_p)
-
     def _jsd_baseline(self) -> float:
-        """``JSD(O_syn, O_real)`` of the committed O_syn, once per commit."""
+        """``JSD(O_syn, O_real)`` of the committed O_syn, once per commit.
+
+        Rebasing the :class:`PairJsdEstimator` on the committed O_syn draws
+        the p-side points every candidate of the coming slot is weighed on.
+        The O_real side is sampled once per policy, when the estimator is
+        built here.
+        """
         if self._cached_jsd_current is None:
-            self._cached_jsd_current = self._jsd_eval(
-                self.tracker.current(), rebase=True
-            )
+            if self._jsd is None:
+                self._jsd = PairJsdEstimator(
+                    self.tracker.o_real,
+                    seed=self.jsd_seed,
+                    n_samples=self.config.jsd_samples,
+                )
+            current = self.tracker.current()
+            self._jsd.rebase(current)
+            self._cached_jsd_current = self._jsd(current)
         return self._cached_jsd_current
 
     def record_fallback(self) -> None:
@@ -365,7 +357,7 @@ class RejectionPolicy:
         ):
             updated = self.tracker.candidate(delta_vectors, is_match)
             jsd_current = self._jsd_baseline()
-            jsd_candidate = self._jsd_eval(updated)
+            jsd_candidate = self._jsd(updated)
             # Eq. 10 plus an absolute Monte-Carlo slack so a near-zero
             # baseline JSD does not reject every candidate on noise.
             threshold = self.config.alpha * jsd_current + self.config.jsd_slack

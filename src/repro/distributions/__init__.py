@@ -10,8 +10,6 @@ compares distributions with Jensen-Shannon divergence (Eq. 3).
 
 from repro.distributions.divergence import (
     evaluation_jsd,
-    jensen_shannon_divergence,
-    kl_divergence_monte_carlo,
     pair_distribution_jsd,
 )
 from repro.distributions.gaussian import GaussianComponent, log_gaussian_pdf
@@ -26,8 +24,6 @@ __all__ = [
     "PairDistribution",
     "evaluation_jsd",
     "fit_gmm",
-    "jensen_shannon_divergence",
-    "kl_divergence_monte_carlo",
     "log_gaussian_pdf",
     "pair_distribution_jsd",
     "select_gmm_by_aic",

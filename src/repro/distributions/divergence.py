@@ -1,4 +1,4 @@
-"""Monte-Carlo KL and Jensen-Shannon divergence between pair distributions.
+"""Monte-Carlo Jensen-Shannon divergence between pair distributions.
 
 Paper Eq. 3 measures how far the synthetic O-distribution has drifted from
 the real one with ``JSD(p || q)``.  GMM mixtures admit no closed-form KL, so
@@ -12,55 +12,9 @@ is the large-sample figure fidelity checks use, seeded apart from the loop.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
-LogDensity = Callable[[np.ndarray], np.ndarray]
-Sampler = Callable[[int, np.random.Generator], np.ndarray]
-
 _LOG_HALF = float(np.log(0.5))
-
-
-def kl_divergence_monte_carlo(
-    log_p: LogDensity,
-    log_q: LogDensity,
-    sample_p: Sampler,
-    rng: np.random.Generator,
-    n_samples: int = 2048,
-) -> float:
-    """``KL(p || q) ~= mean_i [log p(x_i) - log q(x_i)]`` with ``x_i ~ p``.
-
-    The estimate is clamped at 0 from below (KL is non-negative; Monte-Carlo
-    noise can dip slightly negative for near-identical distributions).
-    """
-    points = sample_p(n_samples, rng)
-    values = log_p(points) - log_q(points)
-    return max(0.0, float(np.mean(values)))
-
-
-def jensen_shannon_divergence(
-    log_p: LogDensity,
-    log_q: LogDensity,
-    sample_p: Sampler,
-    sample_q: Sampler,
-    rng: np.random.Generator,
-    n_samples: int = 2048,
-) -> float:
-    """Monte-Carlo ``JSD(p || q)`` (paper Eq. 3), in nats.
-
-    ``JSD = 0.5 KL(p || m) + 0.5 KL(q || m)`` with ``m = (p + q) / 2``.
-    Bounded by ``log 2``; the estimate is clipped into ``[0, log 2]``.
-    """
-
-    def log_m(points: np.ndarray) -> np.ndarray:
-        return np.logaddexp(_LOG_HALF + log_p(points), _LOG_HALF + log_q(points))
-
-    half = max(1, n_samples // 2)
-    kl_pm = kl_divergence_monte_carlo(log_p, log_m, sample_p, rng, half)
-    kl_qm = kl_divergence_monte_carlo(log_q, log_m, sample_q, rng, half)
-    jsd = 0.5 * kl_pm + 0.5 * kl_qm
-    return float(np.clip(jsd, 0.0, np.log(2.0)))
 
 
 class PairJsdEstimator:

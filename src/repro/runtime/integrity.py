@@ -24,10 +24,6 @@ strings (true of every artifact in this repo) so the canonical form is
 stable across a write/parse round-trip.  Artifacts written before this
 layer existed carry no envelope and still read fine — they count as
 "unverified", not corrupt.
-
-Sealing can be disabled (``REPRO_INTEGRITY=0`` or the :func:`disabled`
-context manager) to measure checksum overhead; verification of an envelope
-that is *present* always runs.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import hashlib
 import json
 import os
 import pathlib
-from contextlib import contextmanager
 
 from repro.runtime.counters import Counters
 
@@ -78,33 +73,6 @@ class CorruptArtifactError(ValueError):
             f"{what} at {path} is corrupt: {reason}{suffix} "
             "(scrub the tree with 'repro verify-artifacts')"
         )
-
-
-# ----------------------------------------------------------------------
-# Enable/disable switch (sealing only; verification always runs)
-# ----------------------------------------------------------------------
-_ENABLED = os.environ.get("REPRO_INTEGRITY", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
-
-def enabled() -> bool:
-    """Whether new writes are sealed with an envelope."""
-    return _ENABLED
-
-
-@contextmanager
-def disabled():
-    """Temporarily write artifacts without envelopes (bench/A-B harness)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 # ----------------------------------------------------------------------

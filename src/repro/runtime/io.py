@@ -88,11 +88,8 @@ def atomic_write_json(
     """Atomically write ``payload`` as JSON, sealed with an integrity envelope.
 
     Only JSON objects (dicts) are sealed — lists/scalars are written as-is.
-    Sealing is skipped while :func:`repro.runtime.integrity.disabled` is in
-    effect (or ``REPRO_INTEGRITY=0``), which the scale bench uses to
-    measure checksum overhead.
     """
-    if isinstance(payload, dict) and integrity.enabled():
+    if isinstance(payload, dict):
         payload = integrity.seal(payload)
     return atomic_write_text(path, json.dumps(payload, indent=indent))
 

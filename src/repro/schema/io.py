@@ -128,7 +128,7 @@ DATASET_STREAM_TRAILER_LEN = (
 
 def iter_saved_dataset_json(
     directory: str | pathlib.Path, *, chunk_rows: int = 1024,
-    integrity: bool | None = None,
+    integrity: bool = True,
 ):
     """Yield a saved dataset's JSON document as a stream of fragments.
 
@@ -139,19 +139,14 @@ def iter_saved_dataset_json(
     n-entity dataset holds O(chunk_rows) rows in memory instead of O(n).
     Concatenating the fragments reproduces the full document exactly.
 
-    Unless ``integrity`` is off (defaults to the runtime's global switch),
-    the final fragment is a trailing checksum record — ``, "integrity":
-    {"algo": "sha256", "digest": "<64 hex>"}}`` — whose digest covers every
-    byte streamed *before* it.  The document stays valid JSON; a streaming
-    client holds back the fixed-length tail, verifies the digest, and can
-    tell a truncated or garbled stream from a complete one even when the
-    transport framing looks intact.  All fragments are ASCII
+    Unless ``integrity`` is off, the final fragment is a trailing checksum
+    record — ``, "integrity": {"algo": "sha256", "digest": "<64 hex>"}}`` —
+    whose digest covers every byte streamed *before* it.  The document
+    stays valid JSON; a streaming client holds back the fixed-length tail,
+    verifies the digest, and can tell a truncated or garbled stream from a
+    complete one even when the transport framing looks intact.  All fragments are ASCII
     (``json.dumps`` default), so byte offsets never split a character.
     """
-    from repro.runtime import integrity as _integrity
-
-    if integrity is None:
-        integrity = _integrity.enabled()
     directory = pathlib.Path(directory)
     meta = json.loads((directory / "schema.json").read_text())
     schema = _saved_schema(meta)

@@ -200,9 +200,6 @@ class ServiceContext:
         self.deadline_seconds = dict(_DEADLINE_SECONDS, **(deadline_seconds or {}))
         self._models: dict[tuple[str, str], LoadedModel] = {}
         self._models_lock = threading.Lock()
-        self.metrics.register_provider("integrity", self._integrity_snapshot)
-        self.metrics.register_provider("privacy_audit", attack_counters)
-        self.metrics.register_provider("resources", self._resources_snapshot)
 
     def model(self, name: str, version: str | None) -> LoadedModel:
         try:
@@ -221,6 +218,15 @@ class ServiceContext:
 
     def stats(self) -> dict:
         snapshot = self.metrics.snapshot()
+        for name, source in (
+            ("integrity", self._integrity_snapshot),
+            ("privacy_audit", attack_counters),
+            ("resources", self._resources_snapshot),
+        ):
+            try:
+                snapshot[name] = source()
+            except Exception:  # noqa: BLE001 - /stats must never 500
+                snapshot[name] = None
         snapshot["queue"] = self.queue.depth()
         snapshot["admission"] = self.admission.snapshot()
         snapshot["models_loaded"] = len(self._models)

@@ -52,7 +52,7 @@ import urllib.request
 import uuid
 from dataclasses import dataclass
 
-from repro.runtime import faults, integrity
+from repro.runtime import faults
 
 # The dataset stream's trailing checksum record, byte-for-byte as emitted
 # by repro.schema.io.iter_saved_dataset_json.  Mirrored here (rather than
@@ -397,7 +397,7 @@ class ServiceClient:
         return self._request("GET", "/jobs")["jobs"]
 
     def dataset_stream(
-        self, job_id: str, *, verify: bool | None = None,
+        self, job_id: str, *, verify: bool = True,
         chunk_bytes: int = 65536,
     ):
         """Stream the dataset export, verifying its trailing checksum.
@@ -412,17 +412,14 @@ class ServiceClient:
         earlier byte is hashed as it is yielded.  A missing trailer
         (truncated stream) or a digest mismatch (garbled stream) raises a
         *retryable* :class:`ServiceError` with code ``stream_truncated`` /
-        ``stream_corrupt``.  ``verify=False`` (or the runtime integrity
-        switch being off, when ``verify`` is None) downgrades a missing
-        trailer to acceptance — for talking to servers that predate the
+        ``stream_corrupt``.  ``verify=False`` downgrades a missing trailer
+        to acceptance — for talking to servers that predate the
         checksum — but a trailer that *is* present is always verified.
 
         This is the raw single-attempt stream: it does not retry or touch
         the circuit breaker (a generator held across sleeps would pin the
         breaker state); :meth:`dataset` wraps it with the retry policy.
         """
-        if verify is None:
-            verify = integrity.enabled()
         request = urllib.request.Request(
             f"{self.base_url}/jobs/{job_id}/dataset", method="GET"
         )

@@ -20,20 +20,8 @@ class ServiceMetrics:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self._samples: dict[str, deque[float]] = {}
-        self._providers: dict[str, object] = {}
         self._window = int(window)
         self.started_unix = time.time()
-
-    def register_provider(self, name: str, provider) -> None:
-        """Attach an external counter source polled at snapshot time.
-
-        ``provider`` is a zero-argument callable returning a JSON-able
-        value; its result appears under ``name`` in :meth:`snapshot`.
-        Used to surface process-global counters (e.g. the integrity
-        layer's quarantine counts) without the metrics object owning them.
-        """
-        with self._lock:
-            self._providers[name] = provider
 
     def count(self, name: str, amount: int = 1) -> None:
         with self._lock:
@@ -68,8 +56,7 @@ class ServiceMetrics:
         with self._lock:
             counters = dict(self._counters)
             samples = {k: list(v) for k, v in self._samples.items()}
-            providers = dict(self._providers)
-        snapshot = {
+        return {
             "uptime_seconds": time.time() - self.started_unix,
             "counters": counters,
             "observations": {
@@ -78,9 +65,3 @@ class ServiceMetrics:
                 if values
             },
         }
-        for name, provider in providers.items():
-            try:
-                snapshot[name] = provider()
-            except Exception:  # noqa: BLE001 - /stats must never 500
-                snapshot[name] = None
-        return snapshot

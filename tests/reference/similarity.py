@@ -17,7 +17,6 @@ from repro.distributions.mixture import PairDistribution
 from repro.privacy.attacks import NearestRecordAudit
 from repro.schema.dataset import Pair
 from repro.schema.entity import Entity, Relation
-from repro.similarity import kernels
 from repro.similarity.vector import SimilarityModel
 
 
@@ -100,36 +99,3 @@ def nearest_record_battery(
         top1, top2, len(real), singling_threshold
     )
 
-
-def profile(model: SimilarityModel, relation: Relation) -> kernels.RelationProfile:
-    """:meth:`SimilarityModel.profile` that rebuilds a stale profile in full.
-
-    Production extends a cached profile over the relation's appended tail;
-    the rebuild is the result that extension must reproduce.
-    """
-    cache = relation.profile_cache
-    key = (model._vocab, model.qgram)
-    cached = cache.get(key)
-    if cached is not None and cached.n == len(relation):
-        return cached
-    cached = kernels.build_profile(
-        model.schema,
-        relation.entities,
-        qgram=model.qgram,
-        ranges=model.ranges,
-        vocab=model._vocab,
-    )
-    model.profile_builds += 1
-    cache[key] = cached
-    return cached
-
-
-class NoMemo(dict):
-    """A q-gram memo that never stores: every lookup re-tokenizes.
-
-    Patched over :data:`repro.similarity.ngram._GRAM_CACHE` it turns
-    :func:`~repro.similarity.ngram.qgrams` into tokenize-per-call.
-    """
-
-    def __setitem__(self, key, value) -> None:
-        pass

@@ -183,22 +183,6 @@ class TestRejectionPolicy:
             tracker.current(), o_ref, seed=4, n_samples=config.jsd_samples
         )
 
-    def test_seed_path_builds_no_estimator(self, o_ref, config, rng):
-        from tests.reference.seed_path import seed_path
-
-        tracker = self._bootstrapped(o_ref, config)
-        policy = RejectionPolicy(config, tracker, gan=None)
-        delta = _good_vectors(rng, 1, 9)
-        with seed_path():
-            decision = policy.evaluate(
-                None, delta, expected_match=True,
-                target_vector=np.array([0.9, 0.85]),
-            )
-            policy.commit(delta)
-            policy._jsd_baseline()
-        assert decision.jsd_candidate is not None  # Eq. 10 was reached
-        assert policy._jsd is None
-
     def test_stats_tally(self, o_ref, config, rng):
         tracker = DistributionTracker(o_ref, config, rng)
         floor = 0.0  # everything scores below zero log-density... very strict

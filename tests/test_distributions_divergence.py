@@ -1,4 +1,4 @@
-"""Tests for Monte-Carlo KL / JSD estimation."""
+"""Tests for Monte-Carlo JSD estimation between pair distributions."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.distributions import (
     GaussianComponent,
     GaussianMixture,
     PairDistribution,
-    jensen_shannon_divergence,
-    kl_divergence_monte_carlo,
 )
 from repro.distributions.divergence import (
     EVALUATION_JSD_SAMPLES,
@@ -19,84 +17,67 @@ from repro.distributions.divergence import (
 )
 
 
-def _gaussian_logpdf(mean, std):
-    def log_pdf(points):
-        points = np.atleast_2d(points)
-        return (
-            -0.5 * np.sum(((points - mean) / std) ** 2, axis=1)
-            - points.shape[1] * np.log(std * np.sqrt(2 * np.pi))
+def _pair_1d(match_mean, non_mean, sd):
+    """A 1-D O-distribution with one Gaussian per side, half matches."""
+
+    def side(mean):
+        return GaussianMixture(
+            np.array([1.0]),
+            (GaussianComponent(np.array([mean]), np.array([[sd**2]])),),
         )
 
-    return log_pdf
+    return PairDistribution(0.5, side(match_mean), side(non_mean))
 
 
-def _gaussian_sampler(mean, std):
-    def sample(n, rng):
-        return rng.normal(mean, std, size=(n, 1))
-
-    return sample
-
-
-class TestKL:
-    def test_identical_distributions_near_zero(self, rng):
-        log_p = _gaussian_logpdf(0.0, 1.0)
-        value = kl_divergence_monte_carlo(
-            log_p, log_p, _gaussian_sampler(0.0, 1.0), rng, 2000
-        )
-        assert value == pytest.approx(0.0, abs=1e-9)
-
-    def test_known_gaussian_kl(self, rng):
-        # KL(N(0,1) || N(1,1)) = 0.5
-        value = kl_divergence_monte_carlo(
-            _gaussian_logpdf(0.0, 1.0),
-            _gaussian_logpdf(1.0, 1.0),
-            _gaussian_sampler(0.0, 1.0),
-            rng,
-            20000,
-        )
-        assert value == pytest.approx(0.5, abs=0.05)
-
-    def test_non_negative(self, rng):
-        value = kl_divergence_monte_carlo(
-            _gaussian_logpdf(0.0, 1.0),
-            _gaussian_logpdf(0.01, 1.0),
-            _gaussian_sampler(0.0, 1.0),
-            rng,
-            500,
-        )
-        assert value >= 0.0
+def _quadrature_jsd(dist_p, dist_q):
+    """``JSD(p || q)`` in nats by the trapezoid rule over a fine 1-D grid."""
+    grid = np.linspace(-1.0, 2.0, 300_001)
+    log_p = dist_p.log_pdf(grid[:, None])
+    log_q = dist_q.log_pdf(grid[:, None])
+    log_m = np.logaddexp(log_p, log_q) + np.log(0.5)
+    integrand = 0.5 * np.exp(log_p) * (log_p - log_m) + 0.5 * np.exp(log_q) * (
+        log_q - log_m
+    )
+    step = grid[1] - grid[0]
+    return float(step * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1])))
 
 
 class TestJSD:
-    def test_identical_near_zero(self, rng):
-        log_p = _gaussian_logpdf(0.0, 1.0)
-        sampler = _gaussian_sampler(0.0, 1.0)
-        value = jensen_shannon_divergence(log_p, log_p, sampler, sampler, rng, 2000)
+    def test_identical_near_zero(self):
+        dist = _pair_1d(0.8, 0.3, 0.05)
+        value = pair_distribution_jsd(dist, dist, seed=0, n_samples=2000)
         assert value == pytest.approx(0.0, abs=1e-9)
 
-    def test_bounded_by_log2(self, rng):
-        value = jensen_shannon_divergence(
-            _gaussian_logpdf(0.0, 0.1),
-            _gaussian_logpdf(100.0, 0.1),
-            _gaussian_sampler(0.0, 0.1),
-            _gaussian_sampler(100.0, 0.1),
-            rng,
-            2000,
+    def test_bounded_by_log2(self):
+        # Supports that do not overlap inside [0, 1] reach the log 2 bound.
+        value = pair_distribution_jsd(
+            _pair_1d(0.2, 0.1, 0.01), _pair_1d(0.9, 0.8, 0.01),
+            seed=0, n_samples=2000,
         )
         assert value == pytest.approx(np.log(2.0), abs=1e-6)
 
-    def test_monotone_in_separation(self, rng):
+    def test_monotone_in_separation(self):
         def jsd_at(offset):
-            return jensen_shannon_divergence(
-                _gaussian_logpdf(0.0, 1.0),
-                _gaussian_logpdf(offset, 1.0),
-                _gaussian_sampler(0.0, 1.0),
-                _gaussian_sampler(offset, 1.0),
-                np.random.default_rng(0),
-                4000,
+            return pair_distribution_jsd(
+                _pair_1d(0.5, 0.2, 0.05),
+                _pair_1d(0.5 + offset, 0.2 + offset, 0.05),
+                seed=0, n_samples=4000,
             )
 
-        assert jsd_at(0.5) < jsd_at(2.0) < jsd_at(6.0)
+        assert jsd_at(0.02) < jsd_at(0.1) < jsd_at(0.3)
+
+
+class TestQuadratureJSD:
+    @pytest.mark.parametrize("shift", [0.02, 0.05, 0.1, 0.2])
+    def test_evaluation_jsd_matches_quadrature(self, shift):
+        # Every mean stays at least six standard deviations inside [0, 1],
+        # so clipping the samples into the unit interval moves nothing.
+        # Over 30 seeds the 8192-point estimate's spread peaked at 0.0055
+        # nats at these shifts; its bias stayed below 0.0015.
+        base = _pair_1d(0.5, 0.3, 0.05)
+        shifted = _pair_1d(0.5 + shift, 0.3 + shift, 0.05)
+        exact = _quadrature_jsd(base, shifted)
+        assert evaluation_jsd(base, shifted) == pytest.approx(exact, abs=0.01)
 
 
 class TestPairDistributionJSD:

@@ -8,17 +8,29 @@ behavior: typed retryable errors, end-to-end checksum detection, and a
 retry that succeeds once the fault stops firing.
 """
 
+import functools
 import threading
 import warnings
+from unittest import mock
 
 import pytest
 
 from repro.runtime.faults import FaultPlan, FaultSpec, NetFault, inject_faults
+from repro.schema import io as schema_io
 from repro.service import JobQueue, Worker
 from repro.service.api import ServiceContext, make_server
 from repro.service.client import RetryPolicy, ServiceClient, ServiceError
 
 pytestmark = pytest.mark.fault_injection
+
+
+def _legacy_server():
+    """Serve dataset streams without the checksum trailer, as servers that
+    predate it did."""
+    return mock.patch.object(
+        schema_io, "iter_saved_dataset_json",
+        functools.partial(schema_io.iter_saved_dataset_json, integrity=False),
+    )
 
 
 @pytest.fixture
@@ -213,10 +225,8 @@ class TestStreamServerFaults:
     def test_unverified_stream_accepts_legacy_server(
         self, served, service_registry, tmp_path
     ):
-        """A server running with integrity off emits no trailer; a client
-        told not to verify still reads the document."""
-        from repro.runtime import integrity
-
+        """A server that emits no trailer; a client told not to verify
+        still reads the document."""
         client, queue, _ = served
         job = client.submit("restaurant", n_a=8, n_b=8, seed=5)
         worker = Worker(queue, service_registry, lease_seconds=30)
@@ -224,7 +234,7 @@ class TestStreamServerFaults:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert worker.run_once()
         client.wait(job["id"], timeout=30)
-        with integrity.disabled():
+        with _legacy_server():
             document = "".join(client.dataset_stream(job["id"], verify=False))
         import json
 
@@ -233,8 +243,6 @@ class TestStreamServerFaults:
         assert len(payload["table_a"]) == 8
 
     def test_verify_rejects_missing_trailer(self, served, service_registry):
-        from repro.runtime import integrity
-
         client, queue, _ = served
         job = client.submit("restaurant", n_a=8, n_b=8, seed=7)
         worker = Worker(queue, service_registry, lease_seconds=30)
@@ -242,7 +250,7 @@ class TestStreamServerFaults:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert worker.run_once()
         client.wait(job["id"], timeout=30)
-        with integrity.disabled():  # server streams without a trailer
+        with _legacy_server():
             with pytest.raises(ServiceError) as excinfo:
                 list(client.dataset_stream(job["id"], verify=True))
         assert excinfo.value.code == "stream_truncated"

@@ -145,24 +145,6 @@ class TestQuarantine:
         assert quarantine_artifact(tmp_path / "ghost.json") is None
 
 
-class TestSealingToggle:
-    def test_disabled_writes_no_envelope(self, tmp_path):
-        path = tmp_path / "plain.json"
-        with integrity.disabled():
-            assert not integrity.enabled()
-            atomic_write_json(path, {"k": 1})
-        assert "integrity" not in json.loads(path.read_text())
-        assert integrity.enabled()
-
-    def test_present_envelope_verified_even_when_disabled(self, tmp_path):
-        path = tmp_path / "sealed.json"
-        atomic_write_json(path, {"k": "v"})
-        path.write_text(path.read_text().replace('"v"', '"w"'))
-        with integrity.disabled():
-            with pytest.raises(CorruptArtifactError):
-                read_json(path)
-
-
 class TestScrubTree:
     def test_classifies_and_quarantines(self, tmp_path):
         atomic_write_json(tmp_path / "good.json", {"fine": 1})

@@ -3,9 +3,10 @@
 ``generate`` feeds one token per step and replays append-only K/V; the
 oracle (:mod:`tests.reference.decode`) re-runs the full decoder over the
 whole prefix.  Both must emit byte-identical token sequences under a shared
-RNG — greedy, sampled, fanned-out (``samples_per_source``) decoding, and one
-model decoding different sources back to back.  Multi-token prefill steps
-match a full-prefix decoder pass.
+RNG — greedy, sampled, fanned-out (``samples_per_source``) decoding, one
+model decoding different sources back to back, and the fitted transformer
+text backend end to end.  Multi-token prefill steps match a full-prefix
+decoder pass.
 """
 
 import numpy as np
@@ -15,6 +16,10 @@ from repro.nn.transformer import (
     Seq2SeqTransformer,
     TransformerConfig,
     _sample_next_tokens,
+)
+from repro.textgen.transformer_backend import (
+    TransformerTextSynthesizer,
+    TransformerTextSynthesizerConfig,
 )
 
 from tests.reference import decode as reference
@@ -129,6 +134,43 @@ class TestGenerateEquivalence:
         stats = fresh.decode_stats
         assert stats["generate_calls"] == 2
         assert 0 < once < stats["cached_tokens"]
+
+
+class TestSynthesizeEquivalence:
+    def test_text_backend_byte_identical_uncached(self):
+        """``TransformerTextSynthesizer.synthesize`` draws its candidates
+        through ``generate``; the full-prefix oracle must give the same
+        texts under the same rng."""
+        corpus = [
+            "golden gate grill san francisco",
+            "cafe du monde new orleans",
+            "union square bistro",
+            "river north tavern chicago",
+            "harbor light diner seattle",
+            "palm court brasserie",
+        ]
+        synthesizer = TransformerTextSynthesizer(
+            TransformerTextSynthesizerConfig(
+                n_buckets=3, n_candidates=4, pairs_per_bucket=12,
+                training_iterations=4, batch_size=4, max_length=16,
+                d_model=16, n_heads=2, d_feedforward=32, dropout=0.0,
+            )
+        )
+        synthesizer.fit(corpus, np.random.default_rng(21))
+        requests = [(text, 0.2 + 0.15 * i) for i, text in enumerate(corpus)]
+
+        def run():
+            rng = np.random.default_rng(31)
+            return [synthesizer.synthesize(t, s, rng).text for t, s in requests]
+
+        cached = run()
+        cached_tokens = synthesizer.generation_stats()["cached_tokens"]
+        assert cached_tokens > 0
+        with reference.uncached():
+            uncached = run()
+        # The oracle decoded everything: no cached token was added.
+        assert synthesizer.generation_stats()["cached_tokens"] == cached_tokens
+        assert cached == uncached
 
 
 class TestDecodeStep:

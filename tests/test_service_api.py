@@ -1,6 +1,8 @@
 """Tests for the HTTP API + client (repro.service.api / client)."""
 
+import json
 import threading
+import urllib.request
 
 import numpy as np
 import pytest
@@ -199,6 +201,19 @@ class TestStats:
             "shards_requeued_corrupt",
         ):
             assert block[key] >= 0
+
+    def test_raising_source_reads_none(self, served, monkeypatch):
+        client, _, context = served
+
+        def broken():
+            raise OSError("counter source unavailable")
+
+        monkeypatch.setattr(context, "_resources_snapshot", broken)
+        with urllib.request.urlopen(f"{client.base_url}/stats") as response:
+            assert response.status == 200
+            stats = json.loads(response.read())
+        assert stats["resources"] is None
+        assert stats["integrity"]["artifacts_verified"] >= 0
 
 
 class TestGenerationCacheSwitch:

@@ -2,7 +2,8 @@
 
 Covers the coordinator protocol (fan-out, inline claiming, merge), the
 targeted shard-lease claim under contention, crash-retry of a shard child,
-and the jittered empty-queue backoff in ``Worker.run_forever``.  A sharded
+a job drained by a pool of worker processes, and the jittered empty-queue
+backoff in ``Worker.run_forever``.  A sharded
 job's oracle is in-process ``synthesize(n_shards=k)`` on the same model:
 the service plans shards from the job seed, so those jobs carry none.
 """
@@ -21,7 +22,7 @@ from repro.core import SERDConfig
 from repro.datasets import load_dataset
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedInterrupt, inject_faults
 from repro.schema.io import load_saved_dataset
-from repro.service import JobQueue, ModelRegistry, Worker
+from repro.service import JobQueue, ModelRegistry, Worker, WorkerPool
 
 
 @pytest.fixture
@@ -160,6 +161,32 @@ class TestShardedJobEndToEnd:
         record = _run_to_done(queue, eq10_registry, job.id)
         expected = _in_process(eq10_registry, 30, 30, n_shards=2)
         assert expected.rejection_stats["distribution"] > 0
+        assert record.result["rejection_stats"] == expected.rejection_stats
+        assert _dataset_tuple(
+            load_saved_dataset(record.result["dataset_dir"])
+        ) == _dataset_tuple(expected.dataset)
+
+    def test_two_process_pool_matches_in_process(self, queue, eq10_registry):
+        """Two worker processes drain one ``shards=2`` job: whichever
+        process claims which shard, the merged dataset is in-process
+        ``synthesize(n_shards=2)``'s."""
+        job = queue.submit("restaurant", n_a=30, n_b=30, shards=2)
+        pool = WorkerPool(
+            queue.root, eq10_registry.root,
+            n_workers=2, lease_seconds=30, poll_seconds=0.05,
+        )
+        pool.start()
+        try:
+            deadline = time.monotonic() + 60
+            while queue.get(job.id).status not in ("done", "failed"):
+                assert time.monotonic() < deadline, "pool job still running"
+                time.sleep(0.1)
+        finally:
+            pool.drain(timeout=10)
+        record = queue.get(job.id)
+        assert record.status == "done", record.error
+        assert len(queue.children(job.id)) == 2
+        expected = _in_process(eq10_registry, 30, 30, n_shards=2)
         assert record.result["rejection_stats"] == expected.rejection_stats
         assert _dataset_tuple(
             load_saved_dataset(record.result["dataset_dir"])
