@@ -13,7 +13,10 @@ whole service stack against the tiny restaurant dataset:
    the expired lease and resumes from the checkpoint;
 5. verify the job completes, that a reclaim actually happened, that the
    resumed run reports ``resumed_entities > 0``, and that the final dataset
-   is bit-identical to an uninterrupted in-process run under the same seed.
+   is bit-identical to an uninterrupted in-process run under the same seed;
+6. register a second version, then ``POST /label`` naming ``v1`` and check
+   the labels equal in-process ``posterior_match`` of ``v1`` on the same
+   pairs: a pinned version answers the same however many come after it.
 
 With ``--shards 2`` the job is sharded.  The one worker coordinates it and
 runs both shard sub-jobs inline, so the SIGKILL lands inside a shard the
@@ -57,6 +60,34 @@ def _wait_for(predicate, *, timeout: float, poll: float = 0.05, what: str = ""):
     raise TimeoutError(f"timed out after {timeout}s waiting for {what}")
 
 
+def _check_pinned_label(registry, client, real, config) -> list[str]:
+    """``POST /label`` naming v1 once v2 exists equals in-process v1."""
+    second = registry.register(
+        "restaurant", real, config, train_gan=False, audit=False
+    )
+    if second.version != "v2":
+        return [f"second registration published {second.version}, not v2"]
+    ids = list(real.matches[:4]) + list(real.non_matches[:4])
+    pairs = [
+        [list(real.table_a[a].values), list(real.table_b[b].values)]
+        for a, b in ids
+    ]
+    response = client.label("restaurant", pairs, version="v1")
+    v1, _ = registry.load("restaurant", "v1")
+    vectors = v1.similarity_model.vectors(
+        [(real.table_a[a], real.table_b[b]) for a, b in ids]
+    )
+    expected = v1.o_labeling.posterior_match(vectors)
+    failures = []
+    if response["version"] != "v1":
+        failures.append(f"/label naming v1 answered from {response['version']}")
+    if response["labels"] != [bool(p >= 0.5) for p in expected]:
+        failures.append("v1 labels differ from in-process posterior_match")
+    if np.max(np.abs(np.asarray(response["match_probability"]) - expected)) > 1e-12:
+        failures.append("v1 match probabilities differ from in-process ones")
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", default="service_smoke")
@@ -71,7 +102,7 @@ def main() -> int:
     registry_dir = workdir / "registry"
     queue_dir = workdir / "queue"
 
-    print(f"[1/5] registering restaurant model (scale={args.scale}) ...")
+    print(f"[1/6] registering restaurant model (scale={args.scale}) ...")
     real = load_dataset("restaurant", scale=args.scale, seed=args.seed)
     registry = ModelRegistry(registry_dir)
     config = SERDConfig(
@@ -82,7 +113,7 @@ def main() -> int:
     entry = registry.register("restaurant", real, config)
     print(f"      registered {entry.name} {entry.version}")
 
-    print("[2/5] starting service (1 worker, 2s lease) ...")
+    print("[2/6] starting service (1 worker, 2s lease) ...")
     service = SynthesisService(
         registry_dir, queue_dir, port=0, n_workers=1, lease_seconds=2.0
     )
@@ -91,7 +122,7 @@ def main() -> int:
     try:
         client = ServiceClient(service.url)
 
-        print("[3/5] computing the uninterrupted baseline in-process ...")
+        print("[3/6] computing the uninterrupted baseline in-process ...")
         baseline, _ = registry.load("restaurant")
         baseline.rng = np.random.default_rng(args.seed)
         expected = baseline.synthesize(
@@ -122,14 +153,14 @@ def main() -> int:
         )
         victim = service.pool._procs[0]
         victim.kill()  # SIGKILL: no drain, no release — a real crash
-        print(f"[4/5] SIGKILL'd worker pid {victim.pid} mid-S2")
+        print(f"[4/6] SIGKILL'd worker pid {victim.pid} mid-S2")
 
         record = client.wait(job_id, timeout=300, poll_seconds=0.2)
         if record["status"] != "done":
             print(f"FAIL: job finished as {record['status']}: {record.get('error')}")
             return 1
 
-        print("[5/5] verifying recovery ...")
+        print("[5/6] verifying recovery ...")
         events = [e["event"] for e in queue.events()]
         failures = []
         if "reclaimed" not in events:
@@ -162,6 +193,9 @@ def main() -> int:
         ):
             failures.append("recovered dataset differs from uninterrupted baseline")
 
+        print("[6/6] labeling with v1 after registering v2 ...")
+        failures.extend(_check_pinned_label(registry, client, real, config))
+
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}")
@@ -169,7 +203,8 @@ def main() -> int:
         print(
             f"OK: worker killed mid-S2, job reclaimed (attempts="
             f"{record['attempts']}), resumed {resumed} entities, "
-            "dataset bit-identical to the uninterrupted run"
+            "dataset bit-identical to the uninterrupted run, "
+            "v1 labels unchanged by v2"
         )
         print(f"health report: {queue.result_dir(job_id) / 'health.json'}")
         return 0

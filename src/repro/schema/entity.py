@@ -4,6 +4,12 @@ An :class:`Entity` is a record with one value per schema attribute; a
 :class:`Relation` is an ordered collection of entities with unique ids.
 Entities cache derived artifacts (q-gram profiles) that the similarity
 substrate needs repeatedly when computing all-pairs similarity vectors.
+
+:func:`qgrams` is the one q-gram tokenizer of the package.  It lives here,
+below :mod:`repro.similarity`, so that :meth:`Entity.qgrams` and
+:func:`repro.similarity.ngram.qgrams` (a re-export) share one process-wide
+memo: an entity built from strings the similarity substrate has already
+seen costs a dict lookup per column, not a re-tokenization.
 """
 
 from __future__ import annotations
@@ -14,6 +20,49 @@ from typing import Any
 from repro.schema.types import AttributeType, Schema
 
 Value = Any  # str | float | int | None — per-attribute payload
+
+_GRAM_CACHE: dict[tuple[int, str], frozenset[str]] = {}
+# Bound memory on pathological workloads (every string unique forever):
+# one entry is a key plus a small frozenset, so ~128k entries stay in the
+# tens of MB. Overflow clears wholesale — the working set re-warms in one
+# pass and wholesale is cheaper than tracking recency per hit.
+_GRAM_CACHE_MAX = 1 << 17
+
+
+def _tokenize(text: str, q: int) -> frozenset[str]:
+    text = text.lower()
+    if not text:
+        return frozenset()
+    if len(text) < q:
+        return frozenset((text,))
+    return frozenset(text[i : i + q] for i in range(len(text) - q + 1))
+
+
+def qgrams(text: str, q: int = 3) -> frozenset[str]:
+    """The set of character q-grams of ``text`` (case-insensitive).
+
+    Strings shorter than ``q`` contribute themselves as a single gram, so a
+    non-empty short string is still similar to itself:
+
+    >>> sorted(qgrams("abcd", 3))
+    ['abc', 'bcd']
+    >>> sorted(qgrams("ab", 3))
+    ['ab']
+
+    Memoized: the S2 loop scores every candidate string against the same
+    reference pools, re-deriving the same gram sets millions of times per
+    run.  ``qgrams`` is a pure function, so the memo is observationally
+    invisible.
+    """
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    key = (q, text)
+    grams = _GRAM_CACHE.get(key)
+    if grams is None:
+        if len(_GRAM_CACHE) >= _GRAM_CACHE_MAX:
+            _GRAM_CACHE.clear()
+        _GRAM_CACHE[key] = grams = _tokenize(text, q)
+    return grams
 
 
 class Entity:
@@ -59,14 +108,16 @@ class Entity:
         """Cached q-gram set of the string value at ``attr_index``.
 
         Missing values yield an empty set.  Non-string values are stringified,
-        matching how string similarity treats them.
+        matching how string similarity treats them.  The set is the one
+        :func:`qgrams` memoizes for the same text, so it is shared with every
+        other entity and similarity call that saw that string.
         """
         key = (attr_index, q)
         cached = self._qgram_cache.get(key)
         if cached is None:
             value = self.values[attr_index]
             text = "" if value is None else str(value)
-            cached = _qgram_set(text, q)
+            cached = qgrams(text, q)
             self._qgram_cache[key] = cached
         return cached
 
@@ -82,20 +133,6 @@ class Entity:
         record: dict[str, Value] = {"id": self.entity_id}
         record.update(zip(self.schema.names, self.values))
         return record
-
-
-def _qgram_set(text: str, q: int) -> frozenset[str]:
-    """The set of character q-grams of ``text`` (lowercased).
-
-    Strings shorter than ``q`` contribute the whole string as a single gram so
-    that short non-empty values still compare as non-disjoint with themselves.
-    """
-    text = text.lower()
-    if not text:
-        return frozenset()
-    if len(text) < q:
-        return frozenset((text,))
-    return frozenset(text[i : i + q] for i in range(len(text) - q + 1))
 
 
 class Relation:

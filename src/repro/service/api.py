@@ -16,16 +16,20 @@ Routes (all JSON in/out):
   (``?version=vN`` selects a version; default latest)
 - ``GET  /stats``                  queue depth, latencies, batch sizes, restarts
 
-The ``label``/``score`` endpoints are the hot path: each request's pairs
-are built into :class:`~repro.schema.entity.Entity` objects once and
-scored as a single batch through
-:meth:`~repro.similarity.vector.SimilarityModel.vectors`, which routes
-through the vectorized kernel layer (:mod:`repro.similarity.kernels`) —
-per-request cost is one profile build plus a sparse matmul, not
-``O(pairs × columns)`` Python loops.  Loaded models are cached per
-``(name, version)`` and scoring is serialized per model (the kernel
-vocabulary mutates on first sight of new grams), while different models
-score concurrently under the threading server.
+The ``label``/``score`` endpoints are the hot path.  Per request they
+pay one registry lookup, which reads and verifies a single ``meta.json``
+whatever the number of published versions; one
+:class:`~repro.schema.entity.Entity` per record, whose q-gram sets come
+from the process-wide memo in :func:`repro.schema.entity.qgrams`, so a
+string seen before is not tokenized again; and one batch through
+:meth:`~repro.similarity.vector.SimilarityModel.vectors` (the kernel
+layer's profile build plus sparse matmul from ``KERNEL_MIN_VECTORS`` pairs
+up, the scalar loop below) with
+:meth:`~repro.distributions.mixture.PairDistribution.posterior_match` on
+the result.  Loaded models are cached per ``(name, version)`` and
+scoring is serialized per model (the kernel vocabulary mutates on first
+sight of new grams), while different models score concurrently under the
+threading server.
 
 Decode counters of loaded models' transformer text backends appear under
 ``generation`` in ``GET /stats``.

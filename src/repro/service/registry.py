@@ -81,9 +81,9 @@ class ModelVersion:
     version: str
     meta: dict
 
-    @property
-    def number(self) -> int:
-        return int(_VERSION_PATTERN.match(self.version).group(1))
+
+def _version_number(version: str) -> int:
+    return int(_VERSION_PATTERN.match(version).group(1))
 
 
 class ModelRegistry:
@@ -209,8 +209,11 @@ class ModelRegistry:
         return ModelVersion(name=name, version=version, meta=meta)
 
     def _next_version_number(self, name: str) -> int:
-        taken = [v.number for v in self.versions(name)]
-        return (max(taken) + 1) if taken else 1
+        # Counted from directory names, not readable metas: a version whose
+        # meta was quarantined still owns its number, and handing that
+        # number out again would collide with the left-behind directory.
+        taken = self._version_names(name)
+        return (_version_number(taken[-1]) + 1) if taken else 1
 
     # ------------------------------------------------------------------
     # Lookup
@@ -222,55 +225,94 @@ class ModelRegistry:
             if p.is_dir() and _NAME_PATTERN.match(p.name)
         )
 
-    def versions(self, name: str) -> list[ModelVersion]:
-        """Published versions of ``name``, oldest first (staging ignored)."""
+    def _version_names(self, name: str) -> list[str]:
+        """The ``v<N>`` directory names of ``name``, oldest first.
+
+        A directory listing only: no meta is read, so a name may belong to
+        a version whose meta is corrupt or missing.
+        """
         model_dir = as_path(self._model_dir(name))
         if not model_dir.is_dir():
             return []
+        return sorted(
+            (
+                child.name
+                for child in model_dir.iterdir()
+                if _VERSION_PATTERN.match(child.name) and child.is_dir()
+            ),
+            key=_version_number,
+        )
+
+    def _read_version(self, name: str, version: str) -> ModelVersion | None:
+        """The published entry at ``<name>/<version>``, reading one meta.
+
+        ``None`` when the directory holds no meta (unpublished leftovers
+        are invisible) or its meta fails verification.  A corrupt meta is
+        quarantined by :func:`read_json`, so the version drops out of every
+        later lookup instead of poisoning each ``/models`` and ``load()``.
+        """
+        meta_path = as_path(self.version_dir(name, version)) / "meta.json"
+        try:
+            meta = read_json(meta_path, what=f"model meta for {name}/{version}")
+        except FileNotFoundError:
+            return None
+        except CorruptArtifactError:
+            warnings.warn(
+                f"model meta for {name}/{version} corrupt; "
+                "version quarantined and skipped",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return None
+        return ModelVersion(name=name, version=version, meta=meta)
+
+    def versions(self, name: str) -> list[ModelVersion]:
+        """Published versions of ``name``, oldest first (staging ignored).
+
+        Reads and verifies every version's meta; lookups of one version go
+        through :meth:`get` or :meth:`latest`, which do not.
+        """
         found = []
-        for child in model_dir.iterdir():
-            if not child.is_dir() or not _VERSION_PATTERN.match(child.name):
-                continue
-            meta_path = child / "meta.json"
-            if not meta_path.exists():
-                continue  # unpublished leftovers are invisible
-            try:
-                meta = read_json(
-                    meta_path, what=f"model meta for {name}/{child.name}"
-                )
-            except CorruptArtifactError:
-                # Quarantined by read_json: the version vanishes from the
-                # listing (lookups fall back to the previous version)
-                # instead of poisoning every /models and load() call.
-                warnings.warn(
-                    f"model meta for {name}/{child.name} corrupt; "
-                    "version quarantined and skipped",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            found.append(ModelVersion(name=name, version=child.name, meta=meta))
-        return sorted(found, key=lambda v: v.number)
+        for version in self._version_names(name):
+            entry = self._read_version(name, version)
+            if entry is not None:
+                found.append(entry)
+        return found
 
     def latest(self, name: str) -> ModelVersion:
-        versions = self.versions(name)
-        if not versions:
-            raise KeyError(
-                f"no model named {name!r} in registry at {self.root} "
-                f"(known: {self.names() or 'none'})"
-            )
-        return versions[-1]
+        """The newest version whose meta verifies.
+
+        Walks the version directories newest first, so an intact newest
+        version costs one meta read; corrupt ones are quarantined, warned
+        about and skipped, falling back to the previous version.
+        """
+        for version in reversed(self._version_names(name)):
+            entry = self._read_version(name, version)
+            if entry is not None:
+                return entry
+        raise KeyError(
+            f"no model named {name!r} in registry at {self.root} "
+            f"(known: {self.names() or 'none'})"
+        )
 
     def get(self, name: str, version: str | None = None) -> ModelVersion:
+        """``name`` at ``version`` (default: :meth:`latest`).
+
+        Reads and verifies only that version's meta, so the cost of a
+        lookup does not grow with the number of published versions.
+        """
         if version is None:
             return self.latest(name)
-        for candidate in self.versions(name):
-            if candidate.version == version:
-                return candidate
-        raise KeyError(
-            f"model {name!r} has no version {version!r} "
-            f"(known: {[v.version for v in self.versions(name)]})"
-        )
+        # ``version`` may come straight from a request body: anything but a
+        # well-formed ``v<N>`` string is unknown, never a path to read.
+        well_formed = isinstance(version, str) and _VERSION_PATTERN.match(version)
+        entry = self._read_version(name, version) if well_formed else None
+        if entry is None:
+            raise KeyError(
+                f"model {name!r} has no version {version!r} "
+                f"(known: {self._version_names(name)})"
+            )
+        return entry
 
     def list_models(self) -> list[dict]:
         """Flat metadata rows for ``GET /models``."""

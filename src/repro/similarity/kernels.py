@@ -252,24 +252,6 @@ def extend_profile(
     return RelationProfile(profile.schema, profile.qgram, columns, row_of)
 
 
-def entity_profile(like: RelationProfile, entity: Entity) -> RelationProfile:
-    """A one-row profile of ``entity``, sharing ``like``'s vocab and ranges."""
-    columns: list[ColumnProfile] = []
-    for index, column in enumerate(like.columns):
-        if isinstance(column, StringColumnProfile):
-            row = column.vocab.encode(entity.qgrams(index, like.qgram))
-            indptr = np.array([0, len(row)], dtype=np.int64)
-            sizes = np.array([len(row)], dtype=np.int64)
-            columns.append(StringColumnProfile(indptr, row, sizes, column.vocab))
-        else:
-            value = entity.values[index]
-            values = np.array(
-                [np.nan if value is None else float(value)], dtype=np.float64
-            )
-            columns.append(NumericColumnProfile(values, column.low, column.high))
-    return RelationProfile(like.schema, like.qgram, columns, {entity.entity_id: 0})
-
-
 # ----------------------------------------------------------------------
 # Per-column block kernels
 # ----------------------------------------------------------------------

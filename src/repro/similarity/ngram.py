@@ -5,53 +5,20 @@ column (Section VII, Settings).  Example 2 computes e.g.
 ``3_gram_jaccard("SIGMOD Conference", "International Conference on Management
 of Data") = 0.16``.
 
-Tokenization is memoized: the S2 loop scores every candidate string
-against the same reference pools, re-deriving the same gram sets millions
-of times per run.  ``qgrams`` is a pure function, so the cache is
-observationally invisible.
+Tokenization is memoized once per process.  :func:`qgrams` is re-exported
+from :mod:`repro.schema.entity`, the layer below this one, so its memo is
+the same one :meth:`~repro.schema.entity.Entity.qgrams` fills: a string
+tokenized by the S2 loop, by blocking or by an entity built from a service
+request is tokenized once, whichever of them saw it first.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
 
-_GRAM_CACHE: dict[tuple[int, str], frozenset[str]] = {}
-# Bound memory on pathological workloads (every string unique forever):
-# one entry is a key plus a small frozenset, so ~128k entries stay in the
-# tens of MB. Overflow clears wholesale — the working set re-warms in one
-# pass and wholesale is cheaper than tracking recency per hit.
-_GRAM_CACHE_MAX = 1 << 17
+from repro.schema.entity import qgrams
 
-
-def _tokenize(text: str, q: int) -> frozenset[str]:
-    text = text.lower()
-    if not text:
-        return frozenset()
-    if len(text) < q:
-        return frozenset((text,))
-    return frozenset(text[i : i + q] for i in range(len(text) - q + 1))
-
-
-def qgrams(text: str, q: int = 3) -> frozenset[str]:
-    """The set of character q-grams of ``text`` (case-insensitive).
-
-    Strings shorter than ``q`` contribute themselves as a single gram, so a
-    non-empty short string is still similar to itself:
-
-    >>> sorted(qgrams("abcd", 3))
-    ['abc', 'bcd']
-    >>> sorted(qgrams("ab", 3))
-    ['ab']
-    """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    key = (q, text)
-    grams = _GRAM_CACHE.get(key)
-    if grams is None:
-        if len(_GRAM_CACHE) >= _GRAM_CACHE_MAX:
-            _GRAM_CACHE.clear()
-        _GRAM_CACHE[key] = grams = _tokenize(text, q)
-    return grams
+__all__ = ["jaccard", "qgram_jaccard", "qgrams"]
 
 
 def jaccard(set_a: Set[str], set_b: Set[str]) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.schema.entity import Entity, Relation
 from repro.schema.types import AttributeType, Schema
 from repro.similarity import kernels
-from repro.similarity.ngram import jaccard
+from repro.similarity.ngram import jaccard, qgram_jaccard
 from repro.similarity.numeric import numeric_similarity
 
 # Measured scalar/kernel crossover points (pairs per call).  Below these the
@@ -143,8 +143,6 @@ class SimilarityModel:
         """
         attr = self.schema[attr_name]
         if attr.attr_type.is_string_like:
-            from repro.similarity.ngram import qgram_jaccard
-
             return qgram_jaccard(
                 "" if value_a is None else str(value_a),
                 "" if value_b is None else str(value_b),

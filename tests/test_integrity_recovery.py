@@ -235,6 +235,23 @@ class TestRegistryMeta:
             assert registry.versions("restaurant") == []
         assert _quarantine_files(clone_root)
 
+    def test_corrupt_newest_version_keeps_its_number(self, tmp_path, service_real):
+        """New versions are numbered from the ``v<N>`` directories, so a
+        quarantined newest version does not block the next registration."""
+        registry = ModelRegistry(tmp_path / "registry")
+        config = SERDConfig(seed=5)
+        for _ in range(2):
+            registry.register("m", service_real, config, train_gan=False, audit=False)
+        _garble(tmp_path / "registry" / "m" / "v2" / "meta.json")
+        with pytest.warns(RuntimeWarning, match="quarantined and skipped"):
+            assert [v.version for v in registry.versions("m")] == ["v1"]
+
+        entry = registry.register(
+            "m", service_real, config, train_gan=False, audit=False
+        )
+        assert entry.version == "v3"
+        assert [v.version for v in registry.versions("m")] == ["v1", "v3"]
+
 
 class TestDLQForensics:
     def test_corrupt_forensics_degrade_to_stub(self, tmp_path):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.schema import Entity, Relation, make_schema
+from repro.similarity import ngram
 
 
 @pytest.fixture
@@ -34,6 +35,16 @@ class TestEntity:
         assert "caf" in grams
         # Cached object identity on repeat calls.
         assert entity.qgrams(0, 3) is grams
+
+    def test_qgrams_shared_with_similarity_memo(self, schema):
+        """One tokenizer, one memo: an entity's gram set is the very object
+        ``similarity.ngram.qgrams`` returns for the same text, whichever
+        of the two saw the string first."""
+        seen_first = ngram.qgrams("Shared Grams Cafe", 3)
+        entity = Entity("e1", schema, ["Shared Grams Cafe", "Fresh City Name", 1999])
+        assert entity.qgrams(0, 3) is seen_first
+        assert entity.qgrams(1, 3) is ngram.qgrams("Fresh City Name", 3)
+        assert entity.qgrams(2, 3) is ngram.qgrams("1999", 3)
 
     def test_qgrams_of_missing_value_empty(self, schema):
         entity = Entity("e1", schema, [None, "austin", 1999])

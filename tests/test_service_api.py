@@ -1,13 +1,16 @@
 """Tests for the HTTP API + client (repro.service.api / client)."""
 
 import json
+import shutil
 import threading
 import urllib.request
 
 import numpy as np
 import pytest
 
-from repro.service import JobQueue, Worker
+from repro.core import SERDConfig
+from repro.runtime import integrity
+from repro.service import JobQueue, ModelRegistry, Worker
 from repro.service.api import ServiceContext, make_server
 from repro.service.client import ServiceClient, ServiceError
 
@@ -171,6 +174,48 @@ class TestScoringRoutes:
         with pytest.raises(ServiceError) as excinfo:
             client.label("ghost", _record_pairs(service_real, count=1))
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("version", ["v2", "1", 1, "../restaurant/v1"])
+    def test_unknown_or_ill_formed_version_404(self, served, service_real, version):
+        client, _, _ = served
+        with pytest.raises(ServiceError) as excinfo:
+            client.label(
+                "restaurant", _record_pairs(service_real, count=1), version=version
+            )
+        assert excinfo.value.status == 404
+
+
+class TestVersionPinnedLabel:
+    @pytest.fixture
+    def service_registry(self, service_registry, tmp_path):
+        """A private copy of the session registry that tests may publish to."""
+        root = tmp_path / "registry"
+        shutil.copytree(service_registry.root, root)
+        return ModelRegistry(root)
+
+    def test_v1_labels_unchanged_by_later_versions(
+        self, served, service_registry, service_real
+    ):
+        """Publishing v2-v5 changes neither what a v1 request answers nor
+        what its version lookup reads: one meta, not one per version."""
+        client, _, _ = served
+        pairs = _record_pairs(service_real)
+        before = client.label("restaurant", pairs, version="v1")
+        config = SERDConfig.from_dict(
+            service_registry.get("restaurant", "v1").meta["config"]
+        )
+        for _ in range(4):
+            service_registry.register(
+                "restaurant", service_real, config, train_gan=False, audit=False
+            )
+        assert service_registry.latest("restaurant").version == "v5"
+
+        verified = integrity.counters()["artifacts_verified"]
+        after = client.label("restaurant", pairs, version="v1")
+        assert integrity.counters()["artifacts_verified"] - verified == 1
+        assert after["version"] == "v1"
+        assert after["labels"] == before["labels"]
+        assert after["match_probability"] == before["match_probability"]
 
 
 class TestStats:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import SERDConfig, SERDSynthesizer
 from repro.gan import TabularGANConfig
+from repro.runtime import integrity
 from repro.runtime.checkpoint import StageCheckpointer
 from repro.runtime.health import RESUMED
 from repro.runtime.io import as_path, atomic_write_json, read_json
@@ -13,6 +14,7 @@ from repro.service import ModelRegistry
 from repro.service.registry import config_hash, dataset_fingerprint
 
 from tests.test_core_config import parent_format
+from tests.test_integrity_recovery import _garble
 
 
 def _small_config(**overrides):
@@ -128,3 +130,48 @@ class TestRegistryLoad:
     def test_str_and_path_roots_interchangeable(self, service_registry):
         as_str = ModelRegistry(str(service_registry.root))
         assert as_str.latest("restaurant").version == "v1"
+
+
+def _counted(lookup):
+    """``lookup()`` and the integrity-counter deltas it caused."""
+    keys = ("artifacts_verified", "corrupt_artifacts_quarantined")
+    before = integrity.counters()
+    result = lookup()
+    after = integrity.counters()
+    return result, {key: after[key] - before[key] for key in keys}
+
+
+class TestLookupCost:
+    """A lookup reads one meta (two if the newest is corrupt), however many
+    versions are published."""
+
+    @pytest.fixture
+    def registry(self, tmp_path, service_real):
+        registry = ModelRegistry(tmp_path / "reg")
+        for _ in range(5):
+            registry.register(
+                "m", service_real, _small_config(), train_gan=False, audit=False
+            )
+        return registry
+
+    def test_get_reads_only_that_version(self, registry):
+        entry, delta = _counted(lambda: registry.get("m", "v1"))
+        assert entry.version == "v1"
+        assert delta == {"artifacts_verified": 1, "corrupt_artifacts_quarantined": 0}
+
+    def test_latest_reads_only_the_newest(self, registry):
+        entry, delta = _counted(lambda: registry.latest("m"))
+        assert entry.version == "v5"
+        assert delta == {"artifacts_verified": 1, "corrupt_artifacts_quarantined": 0}
+
+    def test_latest_skips_corrupt_newest(self, registry):
+        _garble(as_path(registry.version_dir("m", "v5")) / "meta.json")
+        with pytest.warns(RuntimeWarning, match="quarantined and skipped"):
+            entry, delta = _counted(lambda: registry.latest("m"))
+        assert entry.version == "v4"
+        assert delta == {"artifacts_verified": 1, "corrupt_artifacts_quarantined": 1}
+
+    @pytest.mark.parametrize("version", ["v6", "v0", "5", "v5/..", "../m/v1", 1])
+    def test_unknown_or_ill_formed_version(self, registry, version):
+        with pytest.raises(KeyError, match="no version"):
+            registry.get("m", version)
