@@ -21,6 +21,10 @@ from repro.schema.entity import Relation
 from repro.similarity import kernels
 from repro.similarity.vector import SimilarityModel
 
+# Cross pairs scored per batch: the S3 streaming memory bound (before the
+# resource governor halves it under memory pressure).
+LABEL_BATCH = 4096
+
 
 def label_all_pairs(
     table_a: Relation,
@@ -29,7 +33,7 @@ def label_all_pairs(
     o_real: PairDistribution,
     similarity_model: SimilarityModel,
     *,
-    batch_size: int = 4096,
+    batch_size: int = LABEL_BATCH,
     max_matches: int | None = None,
 ) -> tuple[list[Pair], int]:
     """Posterior-label every cross pair not in ``known_pairs``.

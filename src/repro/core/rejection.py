@@ -30,6 +30,17 @@ from repro.distributions.mixture import PairDistribution
 from repro.gan.training import TabularGAN
 from repro.schema.entity import Entity
 
+# Monte-Carlo samples per Eq. 10 JSD estimate (and per final-drift
+# estimate in :func:`repro.core.sharding.o_syn_drift`).
+JSD_SAMPLES = 256
+# Absolute tolerance added to the Eq. 10 threshold.  The JSD estimator is
+# Monte-Carlo; without slack, a well-converged O_syn (tiny baseline JSD)
+# rejects every candidate on estimator noise alone.
+JSD_SLACK = 0.01
+# AIC model-selection upper bound for the M/N GMMs: the real ones fitted
+# in S1 and the synthetic ones the tracker bootstraps.
+MAX_GMM_COMPONENTS = 3
+
 
 class DistributionTracker:
     """Incrementally maintained O_syn (Section V, "Compute/Update O_syn")."""
@@ -37,11 +48,9 @@ class DistributionTracker:
     def __init__(
         self,
         o_real: PairDistribution,
-        config: SERDConfig,
         rng: np.random.Generator,
     ):
         self.o_real = o_real
-        self.config = config
         self._rng = rng
         self._buffer_pos: list[np.ndarray] = []
         self._buffer_neg: list[np.ndarray] = []
@@ -92,9 +101,9 @@ class DistributionTracker:
             return
         pos = np.vstack(self._buffer_pos)
         neg = np.vstack(self._buffer_neg)
-        components = max(1, min(self.config.max_gmm_components, len(pos) // 4))
+        components = max(1, min(MAX_GMM_COMPONENTS, len(pos) // 4))
         pos_gmm = select_gmm_by_aic(pos, self._rng, max_components=components)
-        components = max(1, min(self.config.max_gmm_components, len(neg) // 4))
+        components = max(1, min(MAX_GMM_COMPONENTS, len(neg) // 4))
         neg_gmm = select_gmm_by_aic(neg, self._rng, max_components=components)
         self._pos = IncrementalGMM.from_fit(pos_gmm, pos)
         self._neg = IncrementalGMM.from_fit(neg_gmm, neg)
@@ -259,7 +268,7 @@ class RejectionPolicy:
                 self._jsd = PairJsdEstimator(
                     self.tracker.o_real,
                     seed=self.jsd_seed,
-                    n_samples=self.config.jsd_samples,
+                    n_samples=JSD_SAMPLES,
                 )
             current = self.tracker.current()
             self._jsd.rebase(current)
@@ -331,25 +340,24 @@ class RejectionPolicy:
                     discriminator_score=score,
                     jsd_candidate=1e3 - worst,
                 )
-            if self.config.reject_unintended_matches:
-                # Pairs the posterior would label matching, beyond the
-                # sampled pair itself, inflate the synthetic match prior.
-                allowed = 1 if expected_match else 0
-                unintended = int(is_match.sum()) > allowed
-                if expected_match and target_vector is not None and not unintended:
-                    # A match whose *target* vector is decisively match-like
-                    # but whose achieved vector is not means synthesis
-                    # missed badly.
-                    target_is_matchlike = bool(
-                        self.tracker.o_real.classify(np.atleast_2d(target_vector))[0]
-                    )
-                    unintended = target_is_matchlike and not bool(is_match[0])
-                if unintended:
-                    return RejectionDecision(
-                        False, "distribution",
-                        discriminator_score=score,
-                        jsd_candidate=500.0 + float(is_match.sum()),
-                    )
+            # Pairs the posterior would label matching, beyond the sampled
+            # pair itself, inflate the synthetic match prior — the clearest
+            # way an entity "destroys the distribution" (Section V).
+            allowed = 1 if expected_match else 0
+            unintended = int(is_match.sum()) > allowed
+            if expected_match and target_vector is not None and not unintended:
+                # A match whose *target* vector is decisively match-like but
+                # whose achieved vector is not means synthesis missed badly.
+                target_is_matchlike = bool(
+                    self.tracker.o_real.classify(np.atleast_2d(target_vector))[0]
+                )
+                unintended = target_is_matchlike and not bool(is_match[0])
+            if unintended:
+                return RejectionDecision(
+                    False, "distribution",
+                    discriminator_score=score,
+                    jsd_candidate=500.0 + float(is_match.sum()),
+                )
         if (
             np.isfinite(self.config.alpha)
             and self.tracker.bootstrapped
@@ -360,7 +368,7 @@ class RejectionPolicy:
             jsd_candidate = self._jsd(updated)
             # Eq. 10 plus an absolute Monte-Carlo slack so a near-zero
             # baseline JSD does not reject every candidate on noise.
-            threshold = self.config.alpha * jsd_current + self.config.jsd_slack
+            threshold = self.config.alpha * jsd_current + JSD_SLACK
             if jsd_candidate > threshold:
                 return RejectionDecision(
                     False, "distribution",

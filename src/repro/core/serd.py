@@ -23,14 +23,18 @@ import resource
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.cold_start import cold_start_entity
 from repro.core.config import SERDConfig
-from repro.core.labeling import label_all_pairs
-from repro.core.rejection import DistributionTracker, RejectionPolicy
+from repro.core.labeling import LABEL_BATCH, label_all_pairs
+from repro.core.rejection import (
+    MAX_GMM_COMPONENTS,
+    DistributionTracker,
+    RejectionPolicy,
+)
 from repro.core.sharding import (
     JSD_STREAM,
     ShardPools,
@@ -65,7 +69,10 @@ from repro.schema.types import AttributeType
 from repro.similarity.vector import SimilarityModel
 from repro.textgen.backend import TextSynthesizer
 from repro.textgen.rules import RuleTextSynthesizer
-from repro.textgen.transformer_backend import TransformerTextSynthesizer
+from repro.textgen.transformer_backend import (
+    TransformerTextSynthesizer,
+    TransformerTextSynthesizerConfig,
+)
 
 
 @dataclass
@@ -98,6 +105,24 @@ class SynthesisOutput:
 # that alpha/beta are too strict for the data.
 FALLBACK_WARN_THRESHOLD = 0.5
 FALLBACK_WARN_MIN = 20
+
+# Plausibility floor of distribution rejection: a candidate is rejected
+# when any of its new pair vectors scores below the PLAUSIBILITY_QUANTILE
+# quantile of the real labeled vectors' ``max(log p_m, log p_n)`` minus
+# PLAUSIBILITY_MARGIN nats.  Eq. 10 guards aggregate drift; this guards
+# individual pairs that follow neither distribution.
+PLAUSIBILITY_QUANTILE = 0.02
+PLAUSIBILITY_MARGIN = 2.0
+# Non-matching pairs sampled per matching pair when S1 estimates the
+# N-distribution from the real dataset.
+NEGATIVE_RATIO = 3.0
+# Acceptance band and search budget of the rule text backend.  Like the
+# paper's transformer it is an *imperfect* solver of ``f(s, s') = sim``:
+# entity rejection (Section V) exists to catch candidates whose achieved
+# vectors drift from the sampled ones, and the SERD-vs-SERD- contrast
+# hinges on that imperfection.
+RULE_TOLERANCE = 0.05
+RULE_MAX_STEPS = 12
 
 
 def _checkpointer(directory: str | os.PathLike | None) -> StageCheckpointer | None:
@@ -454,13 +479,12 @@ class SERDSynthesizer:
         x_match = self.similarity_model.pairs_for_ids(
             real.table_a, real.table_b, real.matches
         )
-        wanted_neg = int(round(self.config.negative_ratio * max(1, len(real.matches))))
+        wanted_neg = int(round(NEGATIVE_RATIO * max(1, len(real.matches))))
         from repro.similarity.blocking import mixed_non_matches
 
         negatives = mixed_non_matches(
             real, self.similarity_model,
             min(wanted_neg, 20 * max(1, len(real.matches))), self.rng,
-            hard_fraction=self.config.hard_negative_fraction,
         )
         if not negatives:
             raise ValueError(
@@ -473,7 +497,7 @@ class SERDSynthesizer:
         )
         self.o_real = PairDistribution.fit(
             x_match, x_non_match, self.rng,
-            max_components=self.config.max_gmm_components,
+            max_components=MAX_GMM_COMPONENTS,
         )
         record.increment(
             "em_reseeds",
@@ -508,12 +532,11 @@ class SERDSynthesizer:
         )
         # Plausibility floor for rejection: real labeled vectors define what
         # "follows the O-distribution" means; anything far less likely than
-        # the least likely real vectors is rejected (see SERDConfig).
+        # the least likely real vectors is rejected (see PLAUSIBILITY_*).
         real_vectors = np.vstack([x_match, x_non_match])
         plausibility = self.o_real.plausibility(real_vectors)
         self.plausibility_floor = float(
-            np.quantile(plausibility, self.config.plausibility_quantile)
-            - self.config.plausibility_margin
+            np.quantile(plausibility, PLAUSIBILITY_QUANTILE) - PLAUSIBILITY_MARGIN
         )
         self.health.mark("s1", COMPLETED, time.perf_counter() - stage_started)
         self._commit_stage(
@@ -596,8 +619,8 @@ class SERDSynthesizer:
     def _rule_backend(self, column: str) -> RuleTextSynthesizer:
         return RuleTextSynthesizer(
             self._background[column],
-            tolerance=self.config.rule_tolerance,
-            max_steps=self.config.rule_max_steps,
+            tolerance=RULE_TOLERANCE,
+            max_steps=RULE_MAX_STEPS,
         )
 
     def _train_transformer_backend(
@@ -697,15 +720,8 @@ class SERDSynthesizer:
             checkpointer, "gan", {"trained": self.gan is not None}, record
         )
 
-    def _transformer_config(self):
-        import dataclasses
-
-        return dataclasses.replace(
-            self.config.transformer,
-            n_buckets=self.config.n_similarity_buckets,
-            n_candidates=self.config.n_text_candidates,
-            dp=self.config.dp,
-        )
+    def _transformer_config(self) -> TransformerTextSynthesizerConfig:
+        return replace(self.config.transformer, dp=self.config.dp)
 
     def _resolve_background(
         self, real: ERDataset, background: dict[str, list[str]] | None
@@ -958,7 +974,7 @@ class SERDSynthesizer:
         rng = self.rng if spec.n_shards == 1 else shard_rng(spec)
         # Rejection and S3 labeling both score *cross* pairs, so they use the
         # all-pairs prior (see fit()); S2 sampling keeps the labeled-set pi.
-        tracker = DistributionTracker(self.o_labeling, self.config, rng)
+        tracker = DistributionTracker(self.o_labeling, rng)
         policy = RejectionPolicy(
             self.config, tracker,
             self.gan if self.config.reject_entities else None,
@@ -1042,13 +1058,15 @@ class SERDSynthesizer:
         # S2-1: sample e from the union, restricted to sides whose
         # opposite table still needs entities (Section III, Remark 1).
         # For a match edge, prefer anchors with no match yet so the
-        # synthetic matching stays (near) one-to-one like real data.
+        # synthetic matching stays (near) one-to-one like real data;
+        # otherwise match edges chain into transitive clusters whose cross
+        # products inflate M_syn far beyond the real match density.
         sources: list[tuple[str, list[Entity]]] = []
         if len(state.b_entities) < state.spec.n_b and state.a_entities:
             sources.append(("a", state.a_entities))
         if len(state.a_entities) < state.spec.n_a and state.b_entities:
             sources.append(("b", state.b_entities))
-        if is_match and self.config.one_to_one_matches:
+        if is_match:
             filtered = [
                 (side, [e for e in pool if e.entity_id not in state.matched_ids])
                 for side, pool in sources
@@ -1134,24 +1152,17 @@ class SERDSynthesizer:
         labeling_started = time.perf_counter()
         labeling_record = self.health.stage("s3_labeling")
         labeling_record.status = RUNNING
-        matches = list(sampled_matches)
-        n_labeled = 0
-        if self.config.label_all_pairs:
-            known = set(sampled_matches) | set(sampled_non_matches)
-            # Budget extra matches so the synthetic match density tracks the
-            # real one: pi_all * n_a * n_b total, minus the sampled edges.
-            expected_total = int(
-                round(self.o_labeling.match_probability * n_a * n_b)
-            )
-            budget = max(0, expected_total - len(sampled_matches))
-            extra_matches, n_labeled = label_all_pairs(
-                table_a, table_b, known, self.o_labeling, self.similarity_model,
-                batch_size=resources.effective_label_batch(
-                    self.config.labeling_chunk_size
-                ),
-                max_matches=budget,
-            )
-            matches.extend(extra_matches)
+        known = set(sampled_matches) | set(sampled_non_matches)
+        # Budget extra matches so the synthetic match density tracks the
+        # real one: pi_all * n_a * n_b total, minus the sampled edges.
+        expected_total = int(round(self.o_labeling.match_probability * n_a * n_b))
+        budget = max(0, expected_total - len(sampled_matches))
+        extra_matches, n_labeled = label_all_pairs(
+            table_a, table_b, known, self.o_labeling, self.similarity_model,
+            batch_size=resources.effective_label_batch(LABEL_BATCH),
+            max_matches=budget,
+        )
+        matches = list(sampled_matches) + extra_matches
         labeling_record.increment("posterior_labeled", n_labeled)
         self.health.mark(
             "s3_labeling", COMPLETED, time.perf_counter() - labeling_started
@@ -1164,16 +1175,14 @@ class SERDSynthesizer:
         )
         o_syn = merged_o_syn([run.tracker_state for run in runs])
         jsd_final = o_syn_drift(o_syn, self.o_labeling, self.config)
-        epsilon = None
-        if self.config.text_backend == "transformer" and self.config.dp is not None:
-            epsilons = [
-                backend.epsilon()
-                for backend in self._text_backends.values()
-                if isinstance(backend, TransformerTextSynthesizer)
-            ]
-            epsilons = [e for e in epsilons if e is not None]
-            if epsilons:
-                epsilon = float(sum(epsilons))  # sequential composition
+        # Sequential composition over the DP-trained text backends.
+        epsilons = [
+            backend.epsilon()
+            for backend in self._text_backends.values()
+            if isinstance(backend, TransformerTextSynthesizer)
+        ]
+        epsilons = [e for e in epsilons if e is not None]
+        epsilon = float(sum(epsilons)) if epsilons else None
         health_payload = self.health.to_dict()
         governor = resources.installed()
         if governor is not None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.rejection import JSD_SAMPLES
 from repro.distributions.divergence import pair_distribution_jsd
 from repro.distributions.gaussian import GaussianComponent
 from repro.distributions.gmm import GaussianMixture
@@ -261,5 +262,5 @@ def o_syn_drift(
         return None
     return pair_distribution_jsd(
         o_syn, o_labeling,
-        seed=config.seed + JSD_STREAM, n_samples=config.jsd_samples,
+        seed=config.seed + JSD_STREAM, n_samples=JSD_SAMPLES,
     )

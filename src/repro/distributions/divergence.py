@@ -98,9 +98,9 @@ def pair_distribution_jsd(
 
 
 #: Sample size and seed of :func:`evaluation_jsd`.  Both are fixed and kept
-#: apart from the rejection estimator's (``SERDConfig.jsd_samples`` and the
-#: ``seed + JSD_STREAM`` stream), so a fidelity figure never moves with the
-#: rejection loop's own noise.
+#: apart from the rejection estimator's (``repro.core.rejection.JSD_SAMPLES``
+#: and the ``seed + JSD_STREAM`` stream), so a fidelity figure never moves
+#: with the rejection loop's own noise.
 EVALUATION_JSD_SAMPLES = 8192
 EVALUATION_JSD_SEED = 0xE7A1
 

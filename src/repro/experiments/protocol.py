@@ -91,14 +91,6 @@ def make_matcher_split(
     return MatchSplit(train_m, train_n, test_m, test_n)
 
 
-def features_for_pairs(
-    featurizer: PairFeaturizer,
-    dataset: ERDataset,
-    labeled_pairs: list[tuple[Pair, bool]],
-) -> tuple[np.ndarray, np.ndarray]:
-    return featurizer.dataset_features(dataset, labeled_pairs)
-
-
 def train_on_dataset(
     matcher: Matcher,
     dataset: ERDataset,

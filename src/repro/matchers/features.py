@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.schema.dataset import ERDataset, MatchSplit, Pair
+from repro.schema.dataset import ERDataset, Pair
 from repro.schema.entity import Entity
 from repro.similarity.vector import SimilarityModel
 
@@ -70,11 +70,3 @@ class PairFeaturizer:
         entity_pairs = [dataset.resolve(pair) for pair, _ in labeled_pairs]
         labels = np.array([flag for _, flag in labeled_pairs], dtype=np.float64)
         return self.features_many(entity_pairs), labels
-
-    def split_features(
-        self, dataset: ERDataset, split: MatchSplit
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(train X, train y, test X, test y) for a match split."""
-        train_x, train_y = self.dataset_features(dataset, split.train_pairs)
-        test_x, test_y = self.dataset_features(dataset, split.test_pairs)
-        return train_x, train_y, test_x, test_y

@@ -64,11 +64,6 @@ def accumulate_grad_sample(param: Tensor, grad_sample: np.ndarray) -> None:
         param.grad_sample += grad_sample
 
 
-def clear_grad_samples(parameters) -> None:
-    for param in parameters:
-        param.grad_sample = None
-
-
 def collect_grad_samples(parameters) -> list[np.ndarray]:
     """The recorded per-example gradients, in parameter order.
 

@@ -33,10 +33,6 @@ def no_grad():
         _grad_enabled = previous
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     if grad.shape == shape:

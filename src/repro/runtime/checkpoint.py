@@ -198,13 +198,3 @@ class StageCheckpointer:
 
     def completed_stages(self) -> list[str]:
         return [s for s in self._manifest["stages"] if self.has(s)]
-
-    def stages_with_prefix(self, prefix: str) -> list[str]:
-        """Committed stages whose names start with ``prefix``, sorted.
-
-        Sharded synthesis names its stages ``s2_progress_shard<k>`` and
-        ``s2_shard<k>_result``; this is how a resuming coordinator (or a
-        test) discovers which shards left state behind without knowing the
-        shard count in advance.
-        """
-        return sorted(s for s in self.completed_stages() if s.startswith(prefix))

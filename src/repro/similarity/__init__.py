@@ -9,7 +9,6 @@ textgen substrate and the NP-hardness example.
 """
 
 from repro.similarity import kernels
-from repro.similarity.candidates import QGramBlocker, TokenBlocker
 from repro.similarity.edit import (
     jaro_similarity,
     jaro_winkler_similarity,
@@ -22,10 +21,8 @@ from repro.similarity.numeric import date_similarity, numeric_similarity
 from repro.similarity.vector import SimilarityModel, pair_vectors
 
 __all__ = [
-    "QGramBlocker",
     "SimilarityFunction",
     "SimilarityModel",
-    "TokenBlocker",
     "date_similarity",
     "get_similarity_function",
     "jaccard",

@@ -2,12 +2,12 @@
 with the same seed/config must write byte-identical exports WITHOUT
 ``PYTHONHASHSEED`` pinning.
 
-The two historical leaks this locks in:
+The two historical leaks it was written for:
 
 - background corpora seeded from builtin ``hash(column)`` (now the stable
   ``column_stream`` digest in ``repro.datasets.builder``),
-- ``TokenBlocker.candidate_pairs`` iterating a ``set[str]`` of blocking
-  keys (now sorted).
+- a token blocker iterating a ``set[str]`` of blocking keys (fixed by
+  sorting; the blockers have since been deleted).
 
 The test forces *different* hash randomization in the two children, so any
 regression to ``hash()``-dependent ordering diverges the exports.

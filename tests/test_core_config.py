@@ -1,8 +1,12 @@
 """Tests for SERDConfig validation and derivation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import SERDConfig
+from repro.privacy.dpsgd import DPSGDConfig
+from repro.textgen.transformer_backend import TransformerTextSynthesizerConfig
 
 
 class TestValidation:
@@ -10,8 +14,17 @@ class TestValidation:
         config = SERDConfig()
         assert config.alpha == 1.0
         assert config.beta == 0.6
-        assert config.n_similarity_buckets == 10
-        assert config.n_text_candidates == 10
+        assert config.transformer.n_buckets == 10
+        assert config.transformer.n_candidates == 10
+        assert len(dataclasses.fields(config)) == 15
+
+    def test_transformer_dp_must_agree_with_dp(self):
+        transformer = TransformerTextSynthesizerConfig(dp=DPSGDConfig())
+        with pytest.raises(ValueError, match="transformer.dp"):
+            SERDConfig(transformer=transformer)
+        with pytest.raises(ValueError, match="transformer.dp"):
+            SERDConfig(transformer=transformer, dp=DPSGDConfig(noise_scale=2.0))
+        assert SERDConfig(transformer=transformer, dp=DPSGDConfig()).dp == DPSGDConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -50,13 +63,32 @@ class TestWithoutRejection:
 
 
 def parent_format(payload: dict, flag: bool) -> dict:
-    """A config payload as written before the retired options were removed."""
+    """A config payload as written before the retired options were removed.
+
+    The shadow knobs ``n_similarity_buckets``/``n_text_candidates`` carry
+    the transformer's own values unless a test overrides them.
+    """
     payload = dict(
         payload,
         use_similarity_kernels=flag,
         use_blocking_for_labeling=flag,
         fallback_warn_threshold=0.5,
         fallback_warn_min=20,
+        n_text_candidates=payload["transformer"]["n_candidates"],
+        n_similarity_buckets=payload["transformer"]["n_buckets"],
+        rule_max_steps=12,
+        rule_tolerance=0.05,
+        jsd_samples=256,
+        jsd_slack=0.01,
+        plausibility_quantile=0.02,
+        plausibility_margin=2.0,
+        reject_unintended_matches=flag,
+        max_gmm_components=3,
+        negative_ratio=3.0,
+        hard_negative_fraction=0.5,
+        label_all_pairs=flag,
+        one_to_one_matches=flag,
+        labeling_chunk_size=4096,
     )
     payload["transformer"] = dict(
         payload["transformer"], dp_vectorized=flag, generation_cache=flag
@@ -72,6 +104,36 @@ class TestSerialization:
         loaded = SERDConfig.from_dict(parent_format(config.to_dict(), flag))
         assert loaded == config
         assert loaded.to_dict() == config.to_dict()
+
+    def test_parent_shadow_knobs_win(self):
+        """The parent trained the shadow knobs' bucket and candidate
+        counts, whatever its ``transformer`` section said."""
+        config = SERDConfig(
+            transformer=TransformerTextSynthesizerConfig(n_buckets=5, n_candidates=4)
+        )
+        payload = parent_format(config.to_dict(), True)
+        payload.update(n_similarity_buckets=10, n_text_candidates=10)
+        loaded = SERDConfig.from_dict(payload)
+        assert loaded.transformer.n_buckets == 10
+        assert loaded.transformer.n_candidates == 10
+
+    def test_parent_dp_overrides_transformer_dp(self):
+        """The parent trained with the top-level ``dp`` only."""
+        private = SERDConfig(dp=DPSGDConfig(noise_scale=2.0)).to_dict()
+        loaded = SERDConfig.from_dict(parent_format(private, False))
+        assert loaded.transformer.dp == loaded.dp == DPSGDConfig(noise_scale=2.0)
+
+        public = parent_format(SERDConfig().to_dict(), False)
+        public["transformer"]["dp"] = dataclasses.asdict(DPSGDConfig())
+        loaded = SERDConfig.from_dict(public)
+        assert loaded.dp is None and loaded.transformer.dp is None
+
+    def test_round_trip(self):
+        config = SERDConfig(
+            seed=4, dp=DPSGDConfig(),
+            transformer=TransformerTextSynthesizerConfig(n_buckets=3, dp=DPSGDConfig()),
+        )
+        assert SERDConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_key_still_rejected(self):
         payload = dict(SERDConfig().to_dict(), not_a_field=1)

@@ -8,7 +8,17 @@ from repro.core.cold_start import cold_start_entity
 from repro.core.labeling import label_all_pairs
 from repro.datasets import load_background, load_dataset
 from repro.gan import TabularGANConfig
+from repro.privacy.dpsgd import DPSGDConfig
 from repro.schema import Entity, Relation
+from repro.textgen.transformer_backend import (
+    TransformerTextSynthesizer,
+    TransformerTextSynthesizerConfig,
+)
+
+# A transformer small enough to train in a few seconds.
+TINY_TRANSFORMER = TransformerTextSynthesizerConfig(
+    n_buckets=2, n_candidates=2, training_iterations=2, d_model=16
+)
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +229,34 @@ class TestLabeling:
         )
         assert n_labeled == 0
         assert matches == []
+
+
+class TestTransformerSettings:
+    """The text stage trains the transformer ``config.transformer`` names."""
+
+    def test_bucket_models_and_epsilon(self):
+        real = load_dataset("restaurant", scale=0.05, seed=21)
+        config = SERDConfig(
+            seed=21, text_backend="transformer", dp=DPSGDConfig(),
+            transformer=TINY_TRANSFORMER,
+        )
+        synthesizer = SERDSynthesizer(config)
+        synthesizer.fit(real, train_gan=False)
+        backends = synthesizer._text_backends
+        assert set(backends) == {a.name for a in real.schema.text_attributes}
+        for backend in backends.values():
+            assert isinstance(backend, TransformerTextSynthesizer)
+            assert len(backend._models) == 2
+            assert backend.config.n_candidates == 2
+            assert backend.config.dp == config.dp
+        output = synthesizer.synthesize(n_a=8, n_b=8)
+        assert output.epsilon is not None
+        assert output.epsilon == sum(b.epsilon() for b in backends.values())
+
+    def test_non_private_transformer_reports_no_epsilon(self):
+        real = load_dataset("restaurant", scale=0.05, seed=21)
+        synthesizer = SERDSynthesizer(
+            SERDConfig(seed=21, text_backend="transformer", transformer=TINY_TRANSFORMER)
+        )
+        synthesizer.fit(real, train_gan=False)
+        assert synthesizer.synthesize(n_a=8, n_b=8).epsilon is None

@@ -199,7 +199,7 @@ def _toy_o_real(dim=2):
 
 def _bootstrapped_tracker(seed=0, n=80):
     rng = np.random.default_rng(seed)
-    tracker = DistributionTracker(_toy_o_real(), SERDConfig(seed=seed), rng)
+    tracker = DistributionTracker(_toy_o_real(), rng)
     pos = rng.normal(0.8, 0.05, size=(n // 2, 2)).clip(0, 1)
     neg = rng.normal(0.2, 0.05, size=(n // 2, 2)).clip(0, 1)
     tracker.add_vectors(np.vstack([pos, neg]))

@@ -18,6 +18,8 @@ from repro.runtime.guards import DivergenceError
 from repro.textgen.rules import RuleTextSynthesizer
 from repro.textgen.transformer_backend import TransformerTextSynthesizerConfig
 
+from tests.test_core_config import parent_format
+
 pytestmark = pytest.mark.fault_injection
 
 
@@ -192,6 +194,37 @@ class TestInterruptResume:
         with pytest.warns(RuntimeWarning):
             output = resumed.synthesize()
         _assert_same_dataset(output.dataset, baseline_dataset)
+
+    def test_parent_format_manifest_resumes_trained_buckets(self, real, tmp_path):
+        """A manifest written while ``n_similarity_buckets`` and
+        ``n_text_candidates`` overrode the transformer section resumes with
+        the bucket models that were trained, not the section's values."""
+        config = _config(
+            text_backend="transformer",
+            transformer=TransformerTextSynthesizerConfig(
+                n_buckets=2, n_candidates=2, training_iterations=2, d_model=16
+            ),
+        )
+        uninterrupted = SERDSynthesizer(config)
+        uninterrupted.fit(real, train_gan=False)
+        expected = uninterrupted.synthesize(n_a=8, n_b=8).dataset
+
+        crashed = SERDSynthesizer(config)
+        with inject_faults(FaultPlan(FaultSpec("fit.after_text", at_calls=(1,)))):
+            with pytest.raises(InjectedInterrupt):
+                crashed.fit(real, train_gan=False, checkpoint_dir=tmp_path)
+        from repro.runtime import StageCheckpointer
+
+        checkpointer = StageCheckpointer(tmp_path)
+        payload = parent_format(checkpointer.get_meta("config"), True)
+        payload["transformer"].update(n_buckets=5, n_candidates=4)
+        checkpointer.set_meta("config", payload)
+
+        resumed = SERDSynthesizer.resume(tmp_path, real)
+        assert resumed.config == config
+        assert resumed.health.stage("text").status == "resumed"
+        output = resumed.synthesize(n_a=8, n_b=8)
+        _assert_same_dataset(output.dataset, expected)
 
     def test_kill_mid_synthesis_resumes_bit_identical(
         self, real, baseline_dataset, tmp_path
