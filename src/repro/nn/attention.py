@@ -34,7 +34,7 @@ class MultiHeadAttention(Module):
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
-        # Hoisted so attend() does not recompute 1/sqrt(d_head) per call.
+        # Hoisted so attention does not recompute 1/sqrt(d_head) per call.
         self._scale = 1.0 / np.sqrt(self.d_head)
         self.query_proj = Linear(d_model, d_model, rng)
         self.key_proj = Linear(d_model, d_model, rng)
@@ -42,9 +42,10 @@ class MultiHeadAttention(Module):
         self.out_proj = Linear(d_model, d_model, rng)
         self.dropout = Dropout(dropout, rng)
 
-    def _split_heads(self, tensor: Tensor, batch: int, length: int) -> Tensor:
-        # (batch, len, d_model) -> (batch, heads, len, d_head)
-        return tensor.reshape(batch, length, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
+    def _split_heads(self, x, batch: int, length: int):
+        # (batch, len, d_model) -> (batch, heads, len, d_head); the same
+        # reshape/transpose serves Tensors and ndarrays.
+        return x.reshape(batch, length, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
 
     def forward(
         self,
@@ -61,37 +62,7 @@ class MultiHeadAttention(Module):
         batch, k_len, _ = key.shape
         k = self._split_heads(self.key_proj(key), batch, k_len)
         v = self._split_heads(self.value_proj(value), batch, k_len)
-        return self.attend(query, k, v, mask)
-
-    def project_kv(self, source: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        """Split-head K/V projections of ``source`` as raw arrays.
-
-        Shape ``(batch, heads, src_len, d_head)`` each — the cacheable half
-        of attention.  Intended for inference (``no_grad``): the returned
-        arrays carry no autograd history.
-        """
-        batch, length, _ = source.shape
-        k = self._split_heads(self.key_proj(source), batch, length)
-        v = self._split_heads(self.value_proj(source), batch, length)
-        return k.data, v.data
-
-    def attend(
-        self,
-        query: Tensor,
-        k: Tensor | np.ndarray,
-        v: Tensor | np.ndarray,
-        mask: np.ndarray | None = None,
-    ) -> Tensor:
-        """Project ``query`` and attend over already-projected ``k``/``v``.
-
-        ``k``/``v`` have shape ``(batch, heads, k_len, d_head)`` — either
-        fresh from :meth:`project_kv` or replayed from a decode cache.  The
-        key batch may be 1 with a larger query batch (broadcast), which is
-        how cached cross-attention serves several samples per source.
-        """
         batch, q_len, _ = query.shape
-        k = Tensor._coerce(k)
-        v = Tensor._coerce(v)
         q = self._split_heads(self.query_proj(query), batch, q_len)
         scores = (q @ k.swapaxes(-1, -2)) * self._scale
         if mask is not None:
@@ -100,6 +71,43 @@ class MultiHeadAttention(Module):
         context = weights @ v  # (batch, heads, q_len, d_head)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.d_model)
         return self.out_proj(merged)
+
+    # ------------------------------------------------------------------
+    # Inference on plain arrays: each op is the numpy call the Tensor
+    # forward makes, in the same order, so values are bit-identical.
+    # Dropout is the identity at inference and is left out.
+    # ------------------------------------------------------------------
+    def project_kv(self, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split-head K/V projections of ``source``, the cacheable half of
+        attention: shape ``(batch, heads, src_len, d_head)`` each."""
+        batch, length, _ = source.shape
+        k = self._split_heads(self.key_proj.infer(source), batch, length)
+        v = self._split_heads(self.value_proj.infer(source), batch, length)
+        return k, v
+
+    def infer(
+        self,
+        query: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+        mask: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Project ``query`` and attend over already-projected ``k``/``v``.
+
+        ``k``/``v`` come from :meth:`project_kv` or a decode cache.  The key
+        batch may be 1 with a larger query batch (numpy broadcasting).
+        """
+        batch, q_len, _ = query.shape
+        q = self._split_heads(self.query_proj.infer(query), batch, q_len)
+        scores = (q @ k.swapaxes(-1, -2)) * self._scale
+        if mask is not None:
+            scores = np.where(mask, -1e9, scores)
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        weights = exp / exp.sum(axis=-1, keepdims=True)
+        context = weights @ v
+        merged = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.d_model)
+        return self.out_proj.infer(merged)
 
 
 class LayerKVCache:

@@ -137,6 +137,14 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def infer(self, inputs: np.ndarray) -> np.ndarray:
+        """Array twin of :meth:`forward` for inference: the same numpy ops in
+        the same order, so the result is bit-identical, with no graph."""
+        out = inputs @ self.weight.data
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out
+
     def _forward_grad_sample(self, inputs: Tensor) -> Tensor:
         """Batched forward that records per-example weight/bias gradients.
 
@@ -228,6 +236,17 @@ class LayerNorm(Module):
         if gs.is_per_sample_enabled():
             return self._affine_grad_sample(normalized)
         return normalized * self.gamma + self.beta
+
+    def infer(self, inputs: np.ndarray) -> np.ndarray:
+        """Array twin of :meth:`forward`: ``Tensor.mean`` is a sum times
+        ``1/n``, and ``a - b`` equals the Tensor's ``a + (-b)`` exactly, so
+        the result is bit-identical."""
+        inv_n = 1.0 / inputs.shape[-1]
+        mean = inputs.sum(axis=-1, keepdims=True) * inv_n
+        centered = inputs - mean
+        variance = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+        normalized = centered / ((variance + self.eps) ** 0.5)
+        return normalized * self.gamma.data + self.beta.data
 
     def _affine_grad_sample(self, normalized: Tensor) -> Tensor:
         """The gamma/beta affine with per-example gradient recording.

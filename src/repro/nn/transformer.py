@@ -21,7 +21,7 @@ from repro.nn.attention import (
     padding_mask,
 )
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Module
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,11 @@ class FeedForward(Module):
     def forward(self, inputs: Tensor) -> Tensor:
         return self.outer(self.dropout(self.inner(inputs).relu()))
 
+    def infer(self, inputs: np.ndarray) -> np.ndarray:
+        """Array twin of :meth:`forward` (``Tensor.relu`` is ``h * (h > 0)``)."""
+        hidden = self.inner.infer(inputs)
+        return self.outer.infer(hidden * (hidden > 0))
+
 
 class EncoderLayer(Module):
     """Self-attention + feed-forward with residuals and layer norm."""
@@ -140,6 +145,14 @@ class EncoderLayer(Module):
         inputs = self.norm_attention(inputs + self.dropout(attended))
         fed = self.feed_forward(inputs)
         return self.norm_feed_forward(inputs + self.dropout(fed))
+
+    def infer(self, inputs: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+        """Array twin of :meth:`forward` (no dropout)."""
+        k, v = self.self_attention.project_kv(inputs)
+        attended = self.self_attention.infer(inputs, k, v, mask)
+        inputs = self.norm_attention.infer(inputs + attended)
+        fed = self.feed_forward.infer(inputs)
+        return self.norm_feed_forward.infer(inputs + fed)
 
 
 class DecoderLayer(Module):
@@ -175,40 +188,43 @@ class DecoderLayer(Module):
         fed = self.feed_forward(targets)
         return self.norm_feed_forward(targets + self.dropout(fed))
 
-    def forward_step(
+    def infer_step(
         self,
-        targets: Tensor,
+        targets: np.ndarray,
         cache: LayerKVCache,
         memory_mask: np.ndarray | None,
         self_mask: np.ndarray | None = None,
-    ) -> Tensor:
+    ) -> np.ndarray:
         """Incremental decode: attend the new token(s) over the cached prefix.
 
         Projects K/V only for ``targets`` (the newly fed tokens), appends
         them to the cache, and reuses the cross-attention K/V projected once
         from the encoder memory — O(prefix) work per step instead of
-        O(prefix²).
+        O(prefix²).  Array twin of :meth:`forward` (no dropout).
         """
         k_new, v_new = self.self_attention.project_kv(targets)
         cache.append_self(k_new, v_new)
-        attended = self.self_attention.attend(
+        attended = self.self_attention.infer(
             targets, cache.self_k, cache.self_v, self_mask
         )
-        targets = self.norm_self(targets + self.dropout(attended))
-        crossed = self.cross_attention.attend(
+        targets = self.norm_self.infer(targets + attended)
+        crossed = self.cross_attention.infer(
             targets, cache.cross_k, cache.cross_v, memory_mask
         )
-        targets = self.norm_cross(targets + self.dropout(crossed))
-        fed = self.feed_forward(targets)
-        return self.norm_feed_forward(targets + self.dropout(fed))
+        targets = self.norm_cross.infer(targets + crossed)
+        fed = self.feed_forward.infer(targets)
+        return self.norm_feed_forward.infer(targets + fed)
 
 
 class Seq2SeqTransformer(Module):
     """Character-level encoder-decoder transformer.
 
     Token conventions (shared with :mod:`repro.textgen.vocab`): id 0 = PAD,
-    1 = BOS, 2 = EOS.  ``forward`` returns logits for teacher-forced decoding;
-    ``generate`` performs autoregressive sampling under ``no_grad``.
+    1 = BOS, 2 = EOS.  ``forward`` returns logits for teacher-forced decoding
+    (the training path); ``generate`` performs autoregressive sampling on
+    plain arrays through the modules' ``infer`` twins, which repeat the
+    Tensor forward's numpy ops in order, so its logits are bit-identical to
+    ``decode`` and it builds no autograd graph.
     """
 
     PAD, BOS, EOS = 0, 1, 2
@@ -273,10 +289,30 @@ class Seq2SeqTransformer(Module):
         return self.decode(target_ids, memory, memory_mask)
 
     # ------------------------------------------------------------------
-    # KV-cached incremental decoding
+    # KV-cached incremental decoding (plain arrays)
     # ------------------------------------------------------------------
+    def _infer_embed(self, token_ids: np.ndarray, position: int = 0) -> np.ndarray:
+        """Array twin of :meth:`_embed` for tokens at ``position`` onwards."""
+        length = token_ids.shape[1]
+        if position + length > self.config.max_length:
+            raise ValueError(
+                f"sequence length {position + length} exceeds max_length "
+                f"{self.config.max_length}"
+            )
+        embedded = self.token_embedding.weight.data[token_ids] * self.scale
+        return embedded + self.positions[position : position + length]
+
+    def infer_encode(self, source_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Array twin of :meth:`encode`: (memory, source padding mask)."""
+        source_ids = np.asarray(source_ids, dtype=np.int64)
+        source_mask = padding_mask(source_ids, self.PAD)
+        hidden = self._infer_embed(source_ids)
+        for layer in self.encoder_layers:
+            hidden = layer.infer(hidden, source_mask)
+        return hidden, source_mask
+
     def start_decode_cache(
-        self, memory: Tensor, memory_mask: np.ndarray
+        self, memory: np.ndarray, memory_mask: np.ndarray
     ) -> DecodeCache:
         """Fresh decode cache: cross-attention K/V projected once per layer."""
         caches = []
@@ -303,14 +339,7 @@ class Seq2SeqTransformer(Module):
         new_ids = np.asarray(new_ids, dtype=np.int64)
         position = cache.length
         length = new_ids.shape[1]
-        if position + length > self.config.max_length:
-            raise ValueError(
-                f"decode length {position + length} exceeds max_length "
-                f"{self.config.max_length}"
-            )
-        embedded = self.token_embedding(new_ids) * self.scale
-        embedded = embedded + Tensor(self.positions[position : position + length])
-        hidden = self.embed_dropout(embedded)
+        hidden = self._infer_embed(new_ids, position)
         self_mask = None
         if length > 1:
             # Prefill: block attention to positions after each new token.
@@ -319,11 +348,11 @@ class Seq2SeqTransformer(Module):
             )
             self_mask = blocked[None, None, :, :]
         for layer, layer_cache in zip(self.decoder_layers, cache.layers):
-            hidden = layer.forward_step(
+            hidden = layer.infer_step(
                 hidden, layer_cache, cache.memory_mask, self_mask
             )
         cache.length = position + length
-        return self.output_proj(hidden).data[:, -1, :]
+        return self.output_proj.infer(hidden)[:, -1, :]
 
     # ------------------------------------------------------------------
     # Autoregressive generation
@@ -350,56 +379,47 @@ class Seq2SeqTransformer(Module):
         0, then source 1, ...).  Each step feeds only the newest token
         through :meth:`decode_step` against the KV cache.
         ``min_new_tokens`` blocks EOS for the first ``n`` steps (used by
-        benchmarks to pin the decoded length).
+        benchmarks to pin the decoded length).  Runs on plain arrays with
+        no dropout whatever the module's train/eval mode, which it leaves
+        untouched.
         """
         rng = rng or self.rng
         if samples_per_source < 1:
             raise ValueError(f"samples_per_source must be >= 1, got {samples_per_source}")
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                limit = max_new_tokens or (self.config.max_length - 1)
-                memory, memory_mask = self.encode(source_ids)
-                if samples_per_source > 1:
-                    memory = Tensor(
-                        np.repeat(memory.data, samples_per_source, axis=0)
-                    )
-                    memory_mask = np.repeat(memory_mask, samples_per_source, axis=0)
-                batch = memory.shape[0]
-                # Preallocated token buffer: the loop writes one column per
-                # step instead of reallocating the whole prefix each token.
-                buffer = np.full((batch, limit + 1), self.PAD, dtype=np.int64)
-                buffer[:, 0] = self.BOS
-                filled = 1
-                finished = np.zeros(batch, dtype=bool)
-                cache = self.start_decode_cache(memory, memory_mask)
-                self.decode_stats["generate_calls"] += 1
-                for step in range(limit):
-                    last = self.decode_step(
-                        buffer[:, filled - 1 : filled], cache
-                    ).copy()
-                    # Never emit PAD or BOS mid-sequence.
-                    last[:, self.PAD] = -np.inf
-                    last[:, self.BOS] = -np.inf
-                    if step < min_new_tokens:
-                        last[:, self.EOS] = -np.inf
-                    next_ids = _sample_next_tokens(
-                        last, temperature=temperature, rng=rng, greedy=greedy
-                    )
-                    next_ids = np.where(finished, self.PAD, next_ids)
-                    buffer[:, filled] = next_ids
-                    filled += 1
-                    self.decode_stats["cached_tokens"] += batch
-                    finished |= next_ids == self.EOS
-                    if finished.all():
-                        break
-                    if filled >= self.config.max_length:
-                        break
-                sequences = buffer[:, :filled]
-        finally:
-            if was_training:
-                self.train()
+        limit = max_new_tokens or (self.config.max_length - 1)
+        memory, memory_mask = self.infer_encode(source_ids)
+        if samples_per_source > 1:
+            memory = np.repeat(memory, samples_per_source, axis=0)
+            memory_mask = np.repeat(memory_mask, samples_per_source, axis=0)
+        batch = memory.shape[0]
+        # Preallocated token buffer: the loop writes one column per step
+        # instead of reallocating the whole prefix each token.
+        buffer = np.full((batch, limit + 1), self.PAD, dtype=np.int64)
+        buffer[:, 0] = self.BOS
+        filled = 1
+        finished = np.zeros(batch, dtype=bool)
+        cache = self.start_decode_cache(memory, memory_mask)
+        self.decode_stats["generate_calls"] += 1
+        for step in range(limit):
+            last = self.decode_step(buffer[:, filled - 1 : filled], cache)
+            # Never emit PAD or BOS mid-sequence.
+            last[:, self.PAD] = -np.inf
+            last[:, self.BOS] = -np.inf
+            if step < min_new_tokens:
+                last[:, self.EOS] = -np.inf
+            next_ids = _sample_next_tokens(
+                last, temperature=temperature, rng=rng, greedy=greedy
+            )
+            next_ids = np.where(finished, self.PAD, next_ids)
+            buffer[:, filled] = next_ids
+            filled += 1
+            self.decode_stats["cached_tokens"] += batch
+            finished |= next_ids == self.EOS
+            if finished.all():
+                break
+            if filled >= self.config.max_length:
+                break
+        sequences = buffer[:, :filled]
         outputs: list[list[int]] = []
         for row in sequences:
             tokens: list[int] = []

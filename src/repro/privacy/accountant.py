@@ -19,6 +19,7 @@ over steps, then
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -62,6 +63,23 @@ def rdp_sampled_gaussian(
     return max(0.0, log_sum / (order - 1))
 
 
+@functools.lru_cache(maxsize=64)
+def _rdp_curve(
+    sampling_rate: float, noise_scale: float, orders: tuple[int, ...]
+) -> np.ndarray:
+    """Per-step RDP at every order, computed once per key.
+
+    DP-SGD charges the same ``(sampling_rate, noise_scale)`` every step, so
+    the curve is memoized; the returned array is read-only because it is
+    shared between callers.
+    """
+    curve = np.array(
+        [rdp_sampled_gaussian(sampling_rate, noise_scale, o) for o in orders]
+    )
+    curve.setflags(write=False)
+    return curve
+
+
 class RDPAccountant:
     """Accumulates RDP over DP-SGD steps and converts to (epsilon, delta)."""
 
@@ -75,10 +93,7 @@ class RDPAccountant:
         """Record ``steps`` releases of the subsampled Gaussian mechanism."""
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
-        per_step = np.array(
-            [rdp_sampled_gaussian(sampling_rate, noise_scale, o) for o in self.orders]
-        )
-        self._rdp += steps * per_step
+        self._rdp += steps * _rdp_curve(sampling_rate, noise_scale, self.orders)
 
     def epsilon(self, delta: float) -> float:
         """The tightest epsilon over all tracked orders at this ``delta``."""

@@ -23,8 +23,9 @@ whatever the number of published versions; one
 from the process-wide memo in :func:`repro.schema.entity.qgrams`, so a
 string seen before is not tokenized again; and one batch through
 :meth:`~repro.similarity.vector.SimilarityModel.vectors` (the kernel
-layer's profile build plus sparse matmul from ``KERNEL_MIN_VECTORS`` pairs
-up, the scalar loop below) with
+layer's profile build plus sparse matmul from ``KERNEL_MIN_VECTORS`` (256)
+pairs up, the scalar loop below, so a 64-pair request takes the scalar
+loop) with
 :meth:`~repro.distributions.mixture.PairDistribution.posterior_match` on
 the result.  Loaded models are cached per ``(name, version)`` and
 scoring is serialized per model (the kernel vocabulary mutates on first

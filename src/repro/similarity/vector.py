@@ -32,7 +32,20 @@ from repro.similarity.numeric import numeric_similarity
 # both paths are bit-identical the dispatch is purely a performance choice.
 KERNEL_MIN_ONE_VS_MANY = 24
 KERNEL_MIN_PAIRS_FOR_IDS = 16
-KERNEL_MIN_VECTORS = 64
+# ``vectors`` serves /label and /score, whose pairs are fresh Entity objects
+# with few repeats, so the kernel's per-distinct-entity profile saves little.
+# Medians of 400 calls, restaurant scale 0.5, random pairs, fresh entities
+# per call (2-core x86 host), two runs:
+#
+#   pairs      64    128    192    256    320    384    512
+#   kernel   0.82   1.29   1.76   2.22   2.79   3.81   4.86  ms
+#   scalar   0.61   1.16   1.70   2.19   2.83   3.68   4.71  ms
+#   kernel   0.77   1.27   1.70   2.26   2.86   3.45   4.77  ms
+#   scalar   0.56   1.12   1.60   2.22   2.87   3.50   4.63  ms
+#
+# Scalar wins below 256 (by 27% at /label's 64 pairs); from 256 up the two
+# are within noise of each other.
+KERNEL_MIN_VECTORS = 256
 
 
 class SimilarityModel:

@@ -76,3 +76,16 @@ class TestMultiHeadAttention:
         memory = Tensor(rng.normal(size=(2, 7, 8)))
         out = attention(query, memory, memory)
         assert out.shape == (2, 4, 8)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_infer_equals_forward_bitwise(self, rng, masked):
+        """The array twin over ``project_kv`` arrays makes the Tensor
+        forward's numpy ops in order: the same bits."""
+        attention = MultiHeadAttention(8, 2, rng)
+        query = rng.normal(size=(2, 4, 8))
+        memory = rng.normal(size=(2, 5, 8))
+        mask = padding_mask(np.array([[3, 3, 3, 0, 0], [3, 3, 3, 3, 3]]), 0)
+        mask = mask if masked else None
+        got = attention.infer(query, *attention.project_kv(memory), mask)
+        want = attention(Tensor(query), Tensor(memory), Tensor(memory), mask)
+        np.testing.assert_array_equal(got, want.data)

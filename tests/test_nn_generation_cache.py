@@ -9,9 +9,14 @@ text backend end to end.  Multi-token prefill steps match a full-prefix
 decoder pass.
 """
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.nn.layers import Module
+from repro.nn.tensor import Tensor
 from repro.nn.transformer import (
     Seq2SeqTransformer,
     TransformerConfig,
@@ -136,28 +141,36 @@ class TestGenerateEquivalence:
         assert 0 < once < stats["cached_tokens"]
 
 
+CORPUS = [
+    "golden gate grill san francisco",
+    "cafe du monde new orleans",
+    "union square bistro",
+    "river north tavern chicago",
+    "harbor light diner seattle",
+    "palm court brasserie",
+]
+
+
+@pytest.fixture
+def text_synthesizer():
+    synthesizer = TransformerTextSynthesizer(
+        TransformerTextSynthesizerConfig(
+            n_buckets=3, n_candidates=4, pairs_per_bucket=12,
+            training_iterations=4, batch_size=4, max_length=16,
+            d_model=16, n_heads=2, d_feedforward=32, dropout=0.0,
+        )
+    )
+    synthesizer.fit(CORPUS, np.random.default_rng(21))
+    return synthesizer
+
+
 class TestSynthesizeEquivalence:
-    def test_text_backend_byte_identical_uncached(self):
+    def test_text_backend_byte_identical_uncached(self, text_synthesizer):
         """``TransformerTextSynthesizer.synthesize`` draws its candidates
         through ``generate``; the full-prefix oracle must give the same
         texts under the same rng."""
-        corpus = [
-            "golden gate grill san francisco",
-            "cafe du monde new orleans",
-            "union square bistro",
-            "river north tavern chicago",
-            "harbor light diner seattle",
-            "palm court brasserie",
-        ]
-        synthesizer = TransformerTextSynthesizer(
-            TransformerTextSynthesizerConfig(
-                n_buckets=3, n_candidates=4, pairs_per_bucket=12,
-                training_iterations=4, batch_size=4, max_length=16,
-                d_model=16, n_heads=2, d_feedforward=32, dropout=0.0,
-            )
-        )
-        synthesizer.fit(corpus, np.random.default_rng(21))
-        requests = [(text, 0.2 + 0.15 * i) for i, text in enumerate(corpus)]
+        synthesizer = text_synthesizer
+        requests = [(text, 0.2 + 0.15 * i) for i, text in enumerate(CORPUS)]
 
         def run():
             rng = np.random.default_rng(31)
@@ -173,13 +186,81 @@ class TestSynthesizeEquivalence:
         assert cached == uncached
 
 
+def _training_flags(module: Module) -> list[bool]:
+    """Every module's ``training`` flag, depth first."""
+    flags = [module.training]
+    for value in vars(module).values():
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, Module):
+                flags.extend(_training_flags(child))
+    return flags
+
+
+class TestArrayInference:
+    """``generate`` runs on plain arrays: no Tensor, no mode toggling, and
+    the same bits as the Tensor forward it mirrors."""
+
+    def test_generate_builds_no_tensor(self, text_synthesizer):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("generate built a Tensor")
+
+        rng = np.random.default_rng(4)
+        with mock.patch.object(Tensor, "__init__", forbidden):
+            texts = [
+                text_synthesizer.synthesize(text, 0.5, rng).text
+                for text in CORPUS
+            ]
+        assert text_synthesizer.generation_stats()["cached_tokens"] > 0
+        assert all(isinstance(text, str) for text in texts)
+
+    def test_train_and_eval_mode_same_tokens(self, config, rng):
+        """Dropout never runs at inference, and ``generate`` leaves every
+        module's mode as it found it — a mixed train/eval tree included."""
+        model = Seq2SeqTransformer(replace(config, dropout=0.1), rng)
+        src = rng.integers(4, 22, size=(3, 6))
+        outputs = []
+        for mode in ("train", "eval", "mixed"):
+            getattr(model, "eval" if mode == "eval" else "train")()
+            if mode == "mixed":
+                model.embed_dropout.eval()
+            before = _training_flags(model)
+            outputs.append(model.generate(
+                src, temperature=0.9, rng=np.random.default_rng(8),
+                samples_per_source=2,
+            ))
+            assert _training_flags(model) == before
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_infer_encode_equals_tensor_encode(self, model, rng):
+        src = rng.integers(4, 22, size=(4, 7))
+        src[1, 4:] = model.PAD
+        src[3, 2:] = model.PAD
+        memory, memory_mask = model.infer_encode(src)
+        tensor_memory, tensor_mask = model.encode(src)
+        np.testing.assert_array_equal(memory, tensor_memory.data)
+        np.testing.assert_array_equal(memory_mask, tensor_mask)
+
+    def test_prefill_equals_tensor_decode_bitwise(self, model, rng):
+        """A whole-prefix prefill makes the Tensor decode's ops on the same
+        operands, so its logits are the same bits, not just close."""
+        src = rng.integers(4, 22, size=(3, 6))
+        src[2, 4:] = model.PAD
+        prefix = rng.integers(4, 22, size=(3, 5))
+        prefix[:, 0] = model.BOS
+        memory, memory_mask = model.infer_encode(src)
+        cache = model.start_decode_cache(memory, memory_mask)
+        stepped = model.decode_step(prefix, cache)
+        full = model.decode(prefix, Tensor(memory), memory_mask).data[:, -1, :]
+        np.testing.assert_array_equal(stepped, full)
+
+
 class TestDecodeStep:
     def test_prefill_matches_stepwise(self, model, rng):
         """Feeding a 4-token block equals feeding the tokens one at a time."""
         src = rng.integers(4, 22, size=(2, 6))
         prefix = rng.integers(4, 22, size=(2, 4))
         prefix[:, 0] = model.BOS
-        memory, memory_mask = model.encode(src)
+        memory, memory_mask = model.infer_encode(src)
 
         block_cache = model.start_decode_cache(memory, memory_mask)
         block_logits = model.decode_step(prefix, block_cache)
@@ -195,8 +276,8 @@ class TestDecodeStep:
         src = rng.integers(4, 22, size=(2, 6))
         prefix = rng.integers(4, 22, size=(2, 5))
         prefix[:, 0] = model.BOS
-        memory, memory_mask = model.encode(src)
-        full = model.decode(prefix, memory, memory_mask).data[:, -1, :]
+        memory, memory_mask = model.infer_encode(src)
+        full = model.decode(prefix, Tensor(memory), memory_mask).data[:, -1, :]
         cache = model.start_decode_cache(memory, memory_mask)
         stepped = model.decode_step(prefix, cache)
         np.testing.assert_allclose(stepped, full, atol=1e-10)
@@ -208,14 +289,14 @@ class TestDecodeStep:
         src = rng.integers(4, 22, size=(3, 6))
         prefix = rng.integers(4, 22, size=(3, 8))
         prefix[:, 0] = model.BOS
-        memory, memory_mask = model.encode(src)
+        memory, memory_mask = model.infer_encode(src)
         cache = model.start_decode_cache(memory, memory_mask)
         logits = model.decode_step(prefix[:, :n_new], cache)
         for end in range(n_new, prefix.shape[1] + 1):
             if end > n_new:
                 logits = model.decode_step(prefix[:, end - 1 : end], cache)
             expected = model.decode(
-                prefix[:, :end], memory, memory_mask
+                prefix[:, :end], Tensor(memory), memory_mask
             ).data[:, -1, :]
             np.testing.assert_allclose(logits, expected, atol=1e-10)
             np.testing.assert_array_equal(
@@ -225,7 +306,7 @@ class TestDecodeStep:
 
     def test_length_guard(self, model, rng):
         src = rng.integers(4, 22, size=(1, 4))
-        memory, memory_mask = model.encode(src)
+        memory, memory_mask = model.infer_encode(src)
         cache = model.start_decode_cache(memory, memory_mask)
         too_long = np.ones((1, model.config.max_length + 1), dtype=np.int64)
         with pytest.raises(ValueError, match="max_length"):

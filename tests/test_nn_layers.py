@@ -37,6 +37,14 @@ class TestLinear:
         assert layer.weight.grad is not None
         assert layer.bias.grad is not None
 
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_infer_equals_forward_bitwise(self, rng, bias):
+        layer = Linear(6, 5, rng, bias=bias)
+        if bias:
+            layer.bias.data = rng.normal(size=5)
+        x = rng.normal(size=(3, 4, 6))
+        np.testing.assert_array_equal(layer.infer(x), layer(Tensor(x)).data)
+
 
 class TestEmbedding:
     def test_lookup(self, rng):
@@ -69,6 +77,13 @@ class TestLayerNorm:
         out.backward()
         assert layer.gamma.grad is not None
         assert layer.beta.grad is not None
+
+    def test_infer_equals_forward_bitwise(self, rng):
+        layer = LayerNorm(7)
+        layer.gamma.data = rng.normal(size=7)
+        layer.beta.data = rng.normal(size=7)
+        x = rng.normal(2.0, 3.0, size=(3, 4, 7))
+        np.testing.assert_array_equal(layer.infer(x), layer(Tensor(x)).data)
 
 
 class TestDropout:

@@ -175,6 +175,41 @@ class TestAccountantEdges:
         assert measured <= target + 1e-2
 
 
+class TestAccountantCurveMemo:
+    """``step`` reads the per-step RDP curve from a per-key memo."""
+
+    def test_steps_equal_fresh_curve_bitwise(self):
+        acc = RDPAccountant()
+        expected = np.zeros(len(acc.orders))
+        for _ in range(30):
+            acc.step(0.125, 1.1)
+            expected += 1 * np.array(
+                [rdp_sampled_gaussian(0.125, 1.1, o) for o in acc.orders]
+            )
+        np.testing.assert_array_equal(acc._rdp, expected)
+
+    def test_accountants_share_no_state(self):
+        first, second = RDPAccountant(), RDPAccountant()
+        first.step(0.2, 1.0, steps=50)
+        second.step(0.2, 1.0, steps=1)
+        assert first.epsilon(1e-5) > second.epsilon(1e-5)
+        first.reset()
+        third = RDPAccountant()
+        third.step(0.2, 1.0, steps=1)
+        assert second.epsilon(1e-5) == third.epsilon(1e-5)
+
+    def test_noise_scale_search_values_pinned(self):
+        # Values of the search before the memo existed, to the last bit.
+        cases = {
+            (1.0, 0.1, 30): 3.1294479370117188,
+            (3.0, 0.05, 100): 1.2671249389648436,
+            (0.5, 0.2, 10): 6.739399719238281,
+            (8.0, 1.0, 5): 1.5509445190429687,
+        }
+        for (target, rate, steps), sigma in cases.items():
+            assert noise_scale_for_epsilon(target, 1e-5, rate, steps) == sigma
+
+
 class TestPrivacyMetrics:
     @pytest.fixture
     def setup(self):

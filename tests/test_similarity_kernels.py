@@ -1,10 +1,12 @@
 """Tests for the vectorized similarity-kernel layer."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.schema import Entity, Relation, make_schema
-from repro.similarity import kernels
+from repro.similarity import kernels, vector
 from repro.similarity.vector import KERNEL_MIN_VECTORS, SimilarityModel
 
 from tests.reference import similarity as reference
@@ -152,10 +154,24 @@ class TestKernelsMatchScalar:
 class TestModelDispatch:
     def test_vectors_kernel_equals_scalar(self, model, paper_tables):
         table_a, table_b = paper_tables
-        pairs = [(a, b) for a in table_a for b in table_b] * 12  # above cutoff
+        grid = [(a, b) for a in table_a for b in table_b]
+        pairs = grid * (KERNEL_MIN_VECTORS // len(grid) + 1)  # above cutoff
         np.testing.assert_array_equal(
             model.vectors(pairs), model.vectors_scalar(pairs)
         )
+
+    def test_vectors_kernel_equals_scalar_at_64_pairs(
+        self, model, paper_tables, monkeypatch
+    ):
+        """A /label-sized batch forced onto the kernel path."""
+        table_a, table_b = paper_tables
+        grid = [(a, b) for a in table_a for b in table_b]
+        pairs = (grid * 8)[:64]
+        monkeypatch.setattr(vector, "KERNEL_MIN_VECTORS", 1)
+        with mock.patch.object(kernels, "pairs", wraps=kernels.pairs) as spy:
+            got = model.vectors(pairs)
+        assert spy.called
+        np.testing.assert_array_equal(got, model.vectors_scalar(pairs))
 
     def test_one_vs_many_kernel_equals_scalar(self, model, paper_tables):
         table_a, table_b = paper_tables
