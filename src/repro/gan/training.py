@@ -15,9 +15,8 @@ import numpy as np
 
 from repro.gan.encoding import EntityEncoder
 from repro.nn.layers import Dropout, Linear, Module, Sequential
-from repro.nn.losses import binary_cross_entropy
+from repro.nn.losses import bce_value_and_grad
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, no_grad
 from repro.runtime import faults
 from repro.runtime.guards import TrainingGuard
 from repro.schema.entity import Entity, Relation
@@ -45,7 +44,27 @@ class TabularGANConfig:
     guard_lr_decay: float = 0.5
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``Tensor.sigmoid``'s forward."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
+
+
+def _linear_backward(
+    layer: Linear, inputs: np.ndarray, grad: np.ndarray, *,
+    wrt_weights: bool = True, wrt_inputs: bool = True,
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """The autograd of ``inputs @ W + b`` for a 2-D batch: the input
+    gradient and ``[dW, db]`` (each ``None``/empty when not wanted)."""
+    params = [inputs.T @ grad, grad.sum(axis=0)] if wrt_weights else []
+    return (grad @ layer.weight.data.T if wrt_inputs else None), params
+
+
 class _Generator(Module):
+    """``sigmoid(head(relu(hidden(relu(body(z))))))`` on arrays.
+
+    The sigmoid keeps outputs in [0, 1], matching the encoder's value range.
+    """
+
     def __init__(self, noise_dim: int, hidden_dim: int, out_dim: int,
                  rng: np.random.Generator):
         super().__init__()
@@ -55,14 +74,40 @@ class _Generator(Module):
         self.hidden = Linear(hidden_dim, hidden_dim, rng)
         self.head = Linear(hidden_dim, out_dim, rng)
 
-    def forward(self, noise: Tensor) -> Tensor:
-        hidden = self.body(noise).relu()
-        hidden = self.hidden(hidden).relu()
-        # Sigmoid keeps outputs in [0, 1], matching the encoder's value range.
-        return self.head(hidden).sigmoid()
+    def infer(self, noise: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """The forward; with ``tape`` it also records what :meth:`backward`
+        reads."""
+        hidden = noise
+        for layer in (self.body.modules[0], self.hidden):
+            pre = layer.infer(hidden)
+            mask = pre > 0
+            if tape is not None:
+                tape.append((hidden, mask))
+            hidden = pre * mask
+        out = _sigmoid(self.head.infer(hidden))
+        if tape is not None:
+            tape.append((hidden, out))
+        return out
+
+    def backward(self, tape: list, grad: np.ndarray) -> list[np.ndarray]:
+        """Gradients of :meth:`parameters`, in order, from ``dL/d out``."""
+        (x0, mask0), (x1, mask1), (x2, out) = tape
+        grad = grad * out * (1.0 - out)
+        grad, head = _linear_backward(self.head, x2, grad)
+        grad, hidden = _linear_backward(self.hidden, x1, grad * mask1)
+        _, body = _linear_backward(
+            self.body.modules[0], x0, grad * mask0, wrt_inputs=False
+        )
+        return body + hidden + head
 
 
 class _Discriminator(Module):
+    """``sigmoid(head(drop(lrelu(hidden(drop(lrelu(input(x))))))))`` on
+    arrays; dropout draws its masks from the GAN's shared generator in
+    training mode only."""
+
+    SLOPE = 0.2
+
     def __init__(self, in_dim: int, hidden_dim: int, dropout: float,
                  rng: np.random.Generator):
         super().__init__()
@@ -71,10 +116,44 @@ class _Discriminator(Module):
         self.head = Linear(hidden_dim // 2, 1, rng)
         self.dropout = Dropout(dropout, rng)
 
-    def forward(self, vectors: Tensor) -> Tensor:
-        hidden = self.dropout(self.input(vectors).leaky_relu(0.2))
-        hidden = self.dropout(self.hidden(hidden).leaky_relu(0.2))
-        return self.head(hidden).sigmoid()
+    def infer(self, vectors: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """The forward; with ``tape`` it also records what :meth:`backward`
+        reads."""
+        hidden = vectors
+        for layer in (self.input, self.hidden):
+            pre = layer.infer(hidden)
+            factor = np.where(pre > 0, 1.0, self.SLOPE)
+            activated = pre * factor
+            mask = self.dropout.sample_mask(activated.shape)
+            if tape is not None:
+                tape.append((hidden, factor, mask))
+            hidden = activated if mask is None else activated * mask
+        out = _sigmoid(self.head.infer(hidden))
+        if tape is not None:
+            tape.append((hidden, out))
+        return out
+
+    def backward(
+        self, tape: list, grad: np.ndarray, *, wrt_weights: bool
+    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """``dL/d vectors`` (only without ``wrt_weights``: the real and fake
+        batches are constants) and the gradients of :meth:`parameters`, in
+        order (only with ``wrt_weights``: the generator step applies none)."""
+        (x0, factor0, mask0), (x1, factor1, mask1), (x2, out) = tape
+        grad = grad * out * (1.0 - out)
+        grad, head = _linear_backward(self.head, x2, grad, wrt_weights=wrt_weights)
+        if mask1 is not None:
+            grad = grad * mask1
+        grad, hidden = _linear_backward(
+            self.hidden, x1, grad * factor1, wrt_weights=wrt_weights
+        )
+        if mask0 is not None:
+            grad = grad * mask0
+        grad, first = _linear_backward(
+            self.input, x0, grad * factor0,
+            wrt_weights=wrt_weights, wrt_inputs=not wrt_weights,
+        )
+        return grad, first + hidden + head
 
 
 class TabularGAN:
@@ -107,18 +186,27 @@ class TabularGAN:
     def fit(self, entities: Sequence[Entity] | Relation) -> "TabularGAN":
         """Run the adversarial game against ``entities`` as the real data.
 
+        Forward, backward and both Adam updates run on plain ndarrays and
+        make the numpy calls the ``Tensor`` autograd makes, in the same
+        order, so weights, ``history`` and the generator state are
+        bit-identical to the autograd loop in ``tests/reference/gan.py``.
+
         Every iteration runs under a :class:`TrainingGuard`: a step whose
-        losses, gradients or resulting weights are non-finite is rolled back
-        (last good weights + optimizer moments restored, learning rate
-        decayed) instead of poisoning the rest of training; repeated
-        divergence raises :class:`~repro.runtime.guards.DivergenceError`.
+        losses, applied gradients or resulting weights are non-finite is
+        rolled back (last good weights + optimizer moments restored,
+        learning rate decayed) instead of poisoning the rest of training;
+        repeated divergence raises
+        :class:`~repro.runtime.guards.DivergenceError`.
         """
         real = self.encoder.encode_many(list(entities))
         if len(real) < 2:
             raise ValueError("need at least two real entities to train the GAN")
-        d_optimizer = Adam(self.discriminator.parameters(), self.config.learning_rate)
-        g_optimizer = Adam(self.generator.parameters(), self.config.learning_rate)
+        d_params = self.discriminator.parameters()
+        g_params = self.generator.parameters()
+        d_optimizer = Adam(d_params, self.config.learning_rate)
+        g_optimizer = Adam(g_params, self.config.learning_rate)
         batch = min(self.config.batch_size, len(real))
+        ones, zeros = np.ones((batch, 1)), np.zeros((batch, 1))
         self.discriminator.train()
         guard = TrainingGuard(
             (self.generator, self.discriminator),
@@ -132,39 +220,45 @@ class TabularGAN:
             while completed < self.config.iterations:
                 # --- discriminator step
                 picks = self.rng.choice(len(real), size=batch, replace=False)
-                real_batch = Tensor(real[picks])
-                noise = Tensor(self.rng.standard_normal((batch, self.config.noise_dim)))
-                with no_grad():
-                    fake_batch = Tensor(self.generator(noise).data)
-                d_real = self.discriminator(real_batch)
-                d_fake = self.discriminator(fake_batch)
-                d_loss = binary_cross_entropy(
-                    d_real, np.ones((batch, 1))
-                ) + binary_cross_entropy(d_fake, np.zeros((batch, 1)))
-                d_optimizer.zero_grad()
-                g_optimizer.zero_grad()
-                d_loss.backward()
+                noise = self.rng.standard_normal((batch, self.config.noise_dim))
+                fake = self.generator.infer(noise)
+                real_tape, fake_tape = [], []
+                d_real = self.discriminator.infer(real[picks], real_tape)
+                d_fake = self.discriminator.infer(fake, fake_tape)
+                real_loss, real_grad = bce_value_and_grad(d_real, ones)
+                fake_loss, fake_grad = bce_value_and_grad(d_fake, zeros)
+                d_loss = real_loss + fake_loss
+                _, real_grads = self.discriminator.backward(
+                    real_tape, real_grad, wrt_weights=True
+                )
+                _, fake_grads = self.discriminator.backward(
+                    fake_tape, fake_grad, wrt_weights=True
+                )
+                # Each weight served both batches: its gradient is the sum.
+                for param, g_real, g_fake in zip(d_params, real_grads, fake_grads):
+                    param.grad = np.add(g_real, g_fake)
                 if faults.fire("gan.nan_grad"):
-                    poisoned = [
-                        p for p in self.discriminator.parameters()
-                        if p.grad is not None
-                    ]
-                    if poisoned:
-                        poisoned[0].grad[...] = np.nan
+                    d_params[0].grad[...] = np.nan
                 d_optimizer.step()
 
                 # --- generator step (non-saturating: maximize log D(G(z)))
-                noise = Tensor(self.rng.standard_normal((batch, self.config.noise_dim)))
-                scores = self.discriminator(self.generator(noise))
-                g_loss = binary_cross_entropy(scores, np.ones((batch, 1)))
-                d_optimizer.zero_grad()
-                g_optimizer.zero_grad()
-                g_loss.backward()
+                noise = self.rng.standard_normal((batch, self.config.noise_dim))
+                g_tape, d_tape = [], []
+                scores = self.discriminator.infer(
+                    self.generator.infer(noise, g_tape), d_tape
+                )
+                g_loss, score_grad = bce_value_and_grad(scores, ones)
+                fake_grad, _ = self.discriminator.backward(
+                    d_tape, score_grad, wrt_weights=False
+                )
+                g_grads = self.generator.backward(g_tape, fake_grad)
+                for param, grad in zip(g_params, g_grads):
+                    param.grad = grad
                 g_optimizer.step()
 
-                if guard.step_ok(d_loss.item(), g_loss.item()):
+                if guard.step_ok(d_loss, g_loss):
                     guard.snapshot()
-                    self.history.append((d_loss.item(), g_loss.item()))
+                    self.history.append((d_loss, g_loss))
                     completed += 1
                 else:
                     guard.rollback()
@@ -185,9 +279,7 @@ class TabularGAN:
     def generate_vector(self, rng: np.random.Generator | None = None) -> np.ndarray:
         self._require_fitted()
         rng = rng or self.rng
-        noise = Tensor(rng.standard_normal((1, self.config.noise_dim)))
-        with no_grad():
-            return self.generator(noise).data[0]
+        return self.generator.infer(rng.standard_normal((1, self.config.noise_dim)))[0]
 
     def generate_entity(
         self, entity_id: str | None = None, rng: np.random.Generator | None = None
@@ -244,6 +336,4 @@ class TabularGAN:
         """P(entity is real) per the discriminator — rejection Case 1 input."""
         self._require_fitted()
         vector = self.encoder.encode(entity)
-        with no_grad():
-            score = self.discriminator(Tensor(vector[None, :])).data[0, 0]
-        return float(score)
+        return float(self.discriminator.infer(vector[None, :])[0, 0])

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.matchers.base import Matcher
 from repro.nn.layers import Dropout, Linear, Module
-from repro.nn.losses import binary_cross_entropy
+from repro.nn.losses import bce_value_and_grad
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, no_grad
 
@@ -85,11 +85,11 @@ class DeepMatcher(Matcher):
                 if len(picks) < 2:
                     continue
                 outputs = self._net(Tensor(standardized[picks]))
-                loss = binary_cross_entropy(outputs, labels[picks][:, None])
+                loss, grad = bce_value_and_grad(outputs.data, labels[picks][:, None])
                 optimizer.zero_grad()
-                loss.backward()
+                outputs.backward(grad)
                 optimizer.step()
-                epoch_loss += loss.item()
+                epoch_loss += loss
                 steps += 1
             self.history.append(epoch_loss / max(1, steps))
         return self

@@ -13,7 +13,8 @@ Layout mirrors the familiar torch API at miniature scale:
 - :mod:`repro.nn.transformer` — encoder-decoder transformer with sampling
   decode (paper Section VI / Fig. 4).
 - :mod:`repro.nn.optim` — SGD and Adam.
-- :mod:`repro.nn.losses` — cross entropy (with padding mask), BCE.
+- :mod:`repro.nn.losses` — cross entropy (with padding mask); BCE on arrays
+  with its gradient.
 """
 
 from repro.nn.attention import LayerKVCache, MultiHeadAttention
@@ -29,11 +30,7 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
 )
-from repro.nn.losses import (
-    binary_cross_entropy,
-    cross_entropy,
-    cross_entropy_per_example,
-)
+from repro.nn.losses import cross_entropy, cross_entropy_per_example
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn.transformer import (
@@ -61,7 +58,6 @@ __all__ = [
     "Tanh",
     "Tensor",
     "TransformerConfig",
-    "binary_cross_entropy",
     "cross_entropy",
     "cross_entropy_per_example",
     "no_grad",

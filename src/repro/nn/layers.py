@@ -104,7 +104,9 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: {param.data.shape} vs {state[name].shape}"
                 )
-            param.data = state[name].astype(np.float64).copy()
+            # In place: an optimizer may hold the weights as views of its
+            # flat buffer (nn.optim.Adam).
+            param.data[...] = state[name]
 
     def save(self, path: str) -> None:
         """Persist parameters to an ``.npz`` file."""
@@ -288,11 +290,16 @@ class Dropout(Module):
         self.rng = rng
 
     def forward(self, inputs: Tensor) -> Tensor:
+        mask = self.sample_mask(inputs.shape)
+        return inputs if mask is None else inputs * Tensor(mask)
+
+    def sample_mask(self, shape: tuple[int, ...]) -> np.ndarray | None:
+        """The scaled keep-mask the next forward multiplies by (one draw of
+        ``rng.random(shape)``), or ``None`` where dropout is the identity."""
         if not self.training or self.rate == 0.0:
-            return inputs
+            return None
         keep = 1.0 - self.rate
-        mask = (self.rng.random(inputs.shape) < keep) / keep
-        return inputs * Tensor(mask)
+        return (self.rng.random(shape) < keep) / keep
 
 
 class ReLU(Module):

@@ -1,4 +1,4 @@
-"""Loss functions."""
+"""Loss functions: cross entropy on the autograd ``Tensor``, BCE on arrays."""
 
 from __future__ import annotations
 
@@ -105,21 +105,35 @@ def cross_entropy_per_example(
     return per_position.sum(axis=1) * Tensor(1.0 / counts)
 
 
-def binary_cross_entropy(
-    probabilities: Tensor, targets: np.ndarray, *, eps: float = 1e-7
-) -> Tensor:
-    """Mean BCE between predicted probabilities and 0/1 targets.
+def bce_value_and_grad(
+    probabilities: np.ndarray, targets: np.ndarray, *, eps: float = 1e-7
+) -> tuple[float, np.ndarray]:
+    """Mean BCE between predicted probabilities and 0/1 targets of the same
+    shape, and its gradient with respect to ``probabilities``.
 
-    Inputs are clamped away from {0, 1} for numerical stability — the GAN's
-    discriminator saturates early in training.
+    Inputs are clamped away from {0, 1} for numerical stability (the GAN's
+    discriminator saturates early in training) with a straight-through
+    gradient: the clamp is ``p + (clip(p) + (-p))``, which is not always
+    exactly ``clip(p)``, and the gradient flows to ``p`` unclamped.  Each
+    line is the numpy call the autograd graph of the ``Tensor`` form makes
+    (``tests/reference/gan.py``), so value and gradient are bit-identical
+    to it.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    clamped = Tensor(np.clip(probabilities.data, eps, 1.0 - eps))
-    # Route gradients through the original tensor where not clamped.
-    clamped = probabilities + (clamped - probabilities).detach()
-    positive = Tensor(targets) * clamped.log()
-    negative = Tensor(1.0 - targets) * (1.0 - clamped).log()
-    return -(positive + negative).mean()
+    p = probabilities
+    clamped = p + (np.clip(p, eps, 1.0 - eps) + (-p))
+    complement = 1.0 + (-clamped)
+    log_p, log_q = np.log(clamped), np.log(complement)
+    weight_q = 1.0 - targets
+    total = targets * log_p + weight_q * log_q
+    loss = -(total.sum() * (1.0 / total.size))
+    # Backward from d(loss) = 1: negation, the 1/n of the mean, the sum's
+    # broadcast, then the two log branches into the clamp (two terms, so
+    # their sum is exact in either order).
+    upstream = np.full(total.shape, -(1.0 / total.size))
+    grad = (upstream * targets) / clamped
+    grad += -((upstream * weight_q) / complement)
+    return float(loss), grad
 
 
 def mse_loss(predictions: Tensor, targets: np.ndarray) -> Tensor:

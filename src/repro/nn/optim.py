@@ -11,6 +11,10 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
+# Rows of Adam's flat buffer; the numeric guard snapshots DATA:V+1 as one
+# contiguous block.
+_DATA, _M, _V, _GRAD, _S1, _S2 = range(6)
+
 
 class Optimizer:
     """Base optimizer over a fixed parameter list."""
@@ -87,7 +91,20 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
+    """Adam (Kingma & Ba) with bias correction.
+
+    The weights, gradients, moments and scratch of every parameter live in
+    one flat float64 buffer of six rows (the ``_DATA`` ... ``_S2`` row
+    indices), so :meth:`step` runs each ufunc of the update once over all
+    parameters instead of once per parameter.  Every op is elementwise with
+    scalar constants, so the result is bit-identical to the per-parameter
+    update in ``tests/reference/optim``.  Each parameter's ``data`` is
+    rebound to its view of the weight row; ``_m``/``_v`` are per-parameter
+    views of the moment rows.  A gradient or weight array rebound by a
+    caller (autograd assigns a fresh ``grad`` on every backward) is copied
+    into the buffer, and the parameter rebound to its view, on the next
+    :meth:`step`, :meth:`finite` or :meth:`snapshot`.
+    """
 
     def __init__(
         self,
@@ -98,28 +115,60 @@ class Adam(Optimizer):
         weight_decay: float = 0.0,
     ):
         super().__init__(parameters, learning_rate)
+        if len({id(p) for p in self.parameters}) != len(self.parameters):
+            raise ValueError("a parameter is listed more than once")
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-        self._scratch = [(np.empty(p.shape), np.empty(p.shape)) for p in self.parameters]
+        bounds = np.cumsum([0] + [p.size for p in self.parameters]).tolist()
+        self._spans = list(zip(bounds[:-1], bounds[1:]))
+        self._flat = np.zeros((6, bounds[-1]))
+
+        def views(row: int) -> list[np.ndarray]:
+            return [
+                self._flat[row, start:stop].reshape(param.shape)
+                for param, (start, stop) in zip(self.parameters, self._spans)
+            ]
+
+        self._data, self._grad = views(_DATA), views(_GRAD)
+        self._m, self._v = views(_M), views(_V)
+        for param, data in zip(self.parameters, self._data):
+            data[...] = param.data
+            param.data = data
+
+    def _gather(self) -> list[tuple[int, int]]:
+        """Bind every weight and gradient to its view of the buffer (copying
+        rebound arrays in) and return the buffer spans of the parameters
+        that have a gradient, adjacent spans merged."""
+        runs: list[tuple[int, int]] = []
+        for param, data, grad, (start, stop) in zip(
+            self.parameters, self._data, self._grad, self._spans
+        ):
+            if param.data is not data:
+                data[...] = param.data
+                param.data = data
+            if param.grad is None:
+                continue
+            if param.grad is not grad:
+                grad[...] = param.grad
+                param.grad = grad
+            if runs and runs[-1][1] == start:
+                runs[-1] = (runs[-1][0], stop)
+            else:
+                runs.append((start, stop))
+        return runs
 
     def step(self) -> None:
-        """The Adam update ufunc-for-ufunc through two reusable scratch
-        buffers per parameter — bit-identical to the allocating update in
-        ``tests/reference/optim``, without its seven per-step temporaries."""
+        """The Adam update ufunc-for-ufunc through the two scratch rows, once
+        per run of parameters with a gradient; a parameter without one keeps
+        its weights and moments, as in the reference."""
+        runs = self._gather()
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for param, m, v, (s1, s2) in zip(
-            self.parameters, self._m, self._v, self._scratch
-        ):
-            if param.grad is None:
-                continue
-            data = param.data
-            grad = param.grad
+        for start, stop in runs:
+            data, m, v, grad, s1, s2 = self._flat[:, start:stop]
             if self.weight_decay:
                 np.multiply(data, self.weight_decay, out=s1)
                 np.add(grad, s1, out=s1)
@@ -150,12 +199,34 @@ class Adam(Optimizer):
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
         if len(state["m"]) != len(self._m) or len(state["v"]) != len(self._v):
             raise ValueError("moment state does not match parameter count")
+        super().load_state_dict(state)
         self._step_count = int(state["step_count"])
-        self._m = [np.array(m, dtype=np.float64) for m in state["m"]]
-        self._v = [np.array(v, dtype=np.float64) for v in state["v"]]
+        for views, saved in ((self._m, state["m"]), (self._v, state["v"])):
+            for view, array in zip(views, saved):
+                view[...] = array
+
+    def snapshot(self) -> tuple:
+        """Learning rate, step count and one copy of the weight and moment
+        rows."""
+        self._gather()
+        return (
+            self.learning_rate, self._step_count, self._flat[_DATA : _V + 1].copy()
+        )
+
+    def restore(self, snapshot: tuple) -> None:
+        self._gather()
+        self.learning_rate, self._step_count, rows = snapshot
+        self._flat[_DATA : _V + 1] = rows
+
+    def finite(self) -> bool:
+        """Two ``isfinite`` passes: the weight row, then the gradient spans
+        of the parameters that have a gradient."""
+        runs = self._gather()
+        if not np.isfinite(self._flat[_DATA]).all():
+            return False
+        return all(np.isfinite(self._flat[_GRAD, a:b]).all() for a, b in runs)
 
 
 def grads_finite(parameters: list[Tensor]) -> bool:

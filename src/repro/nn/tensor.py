@@ -296,16 +296,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        factor = np.where(self.data > 0, 1.0, negative_slope)
-        data = self.data * factor
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * factor)
-
-        return Tensor._make(data, (self,), backward)
-
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60, 60)))
 

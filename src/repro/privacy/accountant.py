@@ -108,6 +108,19 @@ class RDPAccountant:
     def reset(self) -> None:
         self._rdp[:] = 0.0
 
+    def to_dict(self) -> dict:
+        """Orders and accumulated RDP; JSON floats round-trip exactly."""
+        return {"orders": list(self.orders), "rdp": self._rdp.tolist()}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "RDPAccountant":
+        accountant = cls(tuple(payload["orders"]))
+        rdp = np.asarray(payload["rdp"], dtype=np.float64)
+        if rdp.shape != accountant._rdp.shape:
+            raise ValueError("RDP vector does not match the accountant's orders")
+        accountant._rdp[...] = rdp
+        return accountant
+
 
 def noise_scale_for_epsilon(
     target_epsilon: float,

@@ -23,7 +23,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.nn.layers import Module
-from repro.nn.optim import Optimizer, grads_finite
+from repro.nn.optim import Adam, grads_finite
 
 
 class DivergenceError(RuntimeError):
@@ -57,11 +57,13 @@ class TrainingGuard:
     Parameters
     ----------
     modules:
-        Modules whose weights are snapshot and restored.
+        Modules whose weights are snapshot, checked and restored.  The guard
+        walks only the parameters no optimizer steps (DP-SGD updates weights
+        itself); the rest go through their optimizer.
     optimizers:
-        Optimizers whose state (moments, step counts, learning rate) is
-        snapshot alongside the weights; their learning rates are decayed by
-        ``lr_decay`` on every rollback.
+        Optimizers whose weights, gradients and state (moments, step count,
+        learning rate) are snapshot and checked through their flat buffers;
+        their learning rates are decayed by ``lr_decay`` on every rollback.
     max_retries:
         Rollbacks allowed before :class:`DivergenceError`.
     lr_decay:
@@ -73,7 +75,7 @@ class TrainingGuard:
     def __init__(
         self,
         modules: Iterable[Module],
-        optimizers: Iterable[Optimizer],
+        optimizers: Iterable[Adam],
         *,
         max_retries: int = 3,
         lr_decay: float = 0.5,
@@ -83,15 +85,18 @@ class TrainingGuard:
             raise ValueError(f"max_retries must be >= 1, got {max_retries}")
         if not 0.0 < lr_decay < 1.0:
             raise ValueError(f"lr_decay must be in (0, 1), got {lr_decay}")
-        self.modules = list(modules)
         self.optimizers = list(optimizers)
+        stepped = {id(p) for o in self.optimizers for p in o.parameters}
+        self._unstepped = [
+            p for m in modules for p in m.parameters() if id(p) not in stepped
+        ]
         self.max_retries = max_retries
         self.lr_decay = lr_decay
         self.label = label
         self.rollbacks = 0
         self.nan_events = 0
-        self._module_states: list[dict[str, np.ndarray]] | None = None
-        self._optimizer_states: list[dict] | None = None
+        self._optimizer_states: list[tuple] | None = None
+        self._unstepped_states: list[np.ndarray] | None = None
         self.snapshot()
 
     # ------------------------------------------------------------------
@@ -99,30 +104,30 @@ class TrainingGuard:
     # ------------------------------------------------------------------
     def snapshot(self) -> None:
         """Capture the current weights + optimizer state as last-known-good."""
-        self._module_states = [m.state_dict() for m in self.modules]
-        self._optimizer_states = [o.state_dict() for o in self.optimizers]
+        self._optimizer_states = [o.snapshot() for o in self.optimizers]
+        self._unstepped_states = [p.data.copy() for p in self._unstepped]
 
     def _restore(self) -> None:
-        assert self._module_states is not None and self._optimizer_states is not None
-        for module, state in zip(self.modules, self._module_states):
-            module.load_state_dict(state)
+        assert self._optimizer_states is not None
+        assert self._unstepped_states is not None
         for optimizer, state in zip(self.optimizers, self._optimizer_states):
-            optimizer.load_state_dict(state)
+            optimizer.restore(state)
+        for param, saved in zip(self._unstepped, self._unstepped_states):
+            param.data[...] = saved
 
     # ------------------------------------------------------------------
     # Checking
     # ------------------------------------------------------------------
     def step_ok(self, *losses: float) -> bool:
-        """True when the losses, gradients and parameters are all finite."""
+        """True when the losses, the weights and the gradients the
+        optimizers read are all finite."""
         if not all_finite(*losses):
             return False
-        for module in self.modules:
-            parameters = module.parameters()
-            if not grads_finite(parameters):
-                return False
-            if not all(np.isfinite(p.data).all() for p in parameters):
-                return False
-        return True
+        if not all(optimizer.finite() for optimizer in self.optimizers):
+            return False
+        return grads_finite(self._unstepped) and all(
+            np.isfinite(p.data).all() for p in self._unstepped
+        )
 
     def rollback(self) -> None:
         """Restore last-known-good state and decay learning rates.

@@ -384,7 +384,8 @@ class TransformerTextSynthesizer:
     # Persistence (offline training is the expensive phase — Table IV)
     # ------------------------------------------------------------------
     def save(self, directory) -> None:
-        """Persist vocab, background and all bucket models to a directory."""
+        """Persist vocab, background, the DP accountant (if any) and all
+        bucket models to a directory."""
         import json
         import pathlib
 
@@ -401,6 +402,8 @@ class TransformerTextSynthesizer:
                 i for i, m in enumerate(self._models) if m is not None and m.trained
             ],
         }
+        if self.accountant is not None:
+            meta["accountant"] = self.accountant.to_dict()
         (directory / "meta.json").write_text(json.dumps(meta))
         for index in meta["trained_buckets"]:
             self._models[index].model.save(str(directory / f"bucket_{index}.npz"))
@@ -418,6 +421,9 @@ class TransformerTextSynthesizer:
         meta = json.loads((directory / "meta.json").read_text())
         self._vocab = CharVocab(meta["characters"])
         self._background = list(meta["background"])
+        # A save that predates accountant persistence keeps the fresh one.
+        if self.accountant is not None and "accountant" in meta:
+            self.accountant = RDPAccountant.from_dict(meta["accountant"])
         rng = np.random.default_rng(0)
         self._models = [None] * self.config.n_buckets
         for index in meta["trained_buckets"]:

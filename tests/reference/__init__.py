@@ -12,4 +12,6 @@ nothing under ``src/`` does.
   ``Seq2SeqTransformer.generate``.
 - :mod:`.optim` — allocating SGD and Adam updates, the oracle for the
   in-place ``out=`` optimizer steps.
+- :mod:`.gan` — the autograd ``Tensor`` GAN (forwards, BCE, fit loop), the
+  oracle for the array training and scoring of ``TabularGAN``.
 """

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Linear, Tensor, binary_cross_entropy, cross_entropy
-from repro.nn.losses import mse_loss
+from repro.nn import SGD, Adam, Linear, Tensor, cross_entropy
+from repro.nn.losses import bce_value_and_grad, mse_loss
 from repro.nn.optim import clip_grad_norm_, global_grad_norm
 
+from tests.reference import gan as reference_gan
 from tests.reference import optim as reference
 
 
@@ -67,6 +68,70 @@ class TestAdam:
             (param * 0.0).sum().backward()  # zero task gradient
             optimizer.step()
         assert abs(param.data[0]) < 10.0
+
+
+    @staticmethod
+    def _twins(values, **kwargs):
+        return [
+            Adam([Tensor(v.copy(), requires_grad=True) for v in values], **kwargs)
+            for _ in range(2)
+        ]
+
+    def test_parameter_without_gradient_untouched(self, rng):
+        values = [rng.normal(size=(3, 2)), rng.normal(size=(4,)), rng.normal(size=(2,))]
+        fast, slow = self._twins(values, learning_rate=0.05)
+        for _ in range(4):
+            for index in (0, 2):  # the middle parameter never has a gradient
+                grad = rng.normal(size=values[index].shape)
+                fast.parameters[index].grad = grad.copy()
+                slow.parameters[index].grad = grad.copy()
+            fast.step()
+            reference.adam_step(slow)
+        assert fast.parameters[1].data.tobytes() == values[1].tobytes()
+        assert not fast._m[1].any() and not fast._v[1].any()
+        for a, b in zip(fast.parameters, slow.parameters):
+            assert a.data.tobytes() == b.data.tobytes()
+        for a, b in zip(fast._m + fast._v, slow._m + slow._v):
+            assert a.tobytes() == b.tobytes()
+
+    def test_state_dict_round_trip(self, rng):
+        values = [rng.normal(size=(3, 2)), rng.normal(size=(2,))]
+        trained, restored = self._twins(values, learning_rate=0.05)
+        for _ in range(3):
+            for param in trained.parameters:
+                param.grad = rng.normal(size=param.shape)
+            trained.step()
+        for source, target in zip(trained.parameters, restored.parameters):
+            target.data[...] = source.data
+        restored.load_state_dict(trained.state_dict())
+        state, again = trained.state_dict(), restored.state_dict()
+        assert state["step_count"] == again["step_count"] == 3
+        assert state["learning_rate"] == again["learning_rate"]
+        for key in ("m", "v"):
+            assert [a.tobytes() for a in state[key]] == [
+                b.tobytes() for b in again[key]
+            ]
+        grads = [rng.normal(size=p.shape) for p in trained.parameters]
+        for optimizer in (trained, restored):
+            for param, grad in zip(optimizer.parameters, grads):
+                param.grad = grad.copy()
+            optimizer.step()
+        for a, b in zip(trained.parameters, restored.parameters):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_module_load_state_dict_keeps_optimizer_views(self, rng):
+        """Weights are views of the optimizer's buffer, so loading writes
+        in place and the next step updates the loaded weights."""
+        layer = Linear(3, 2, rng)
+        optimizer = Adam(layer.parameters(), learning_rate=0.1)
+        saved = layer.state_dict()
+        for param in layer.parameters():
+            param.data[...] = 7.0
+        layer.load_state_dict(saved)
+        for param in layer.parameters():
+            param.grad = np.ones(param.shape)
+        optimizer.step()
+        np.testing.assert_allclose(layer.weight.data, saved["weight"] - 0.1)
 
 
 class TestInPlaceUpdateMatchesReference:
@@ -175,22 +240,36 @@ class TestCrossEntropy:
 
 class TestBCE:
     def test_matches_manual(self):
-        probabilities = Tensor(np.array([[0.9], [0.2]]))
+        probabilities = np.array([[0.9], [0.2]])
         targets = np.array([[1.0], [0.0]])
-        loss = binary_cross_entropy(probabilities, targets)
+        loss, _ = bce_value_and_grad(probabilities, targets)
         expected = -(np.log(0.9) + np.log(0.8)) / 2
-        assert loss.item() == pytest.approx(expected)
+        assert loss == pytest.approx(expected)
 
     def test_stable_at_extremes(self):
-        probabilities = Tensor(np.array([[0.0], [1.0]]))
-        loss = binary_cross_entropy(probabilities, np.array([[1.0], [0.0]]))
-        assert np.isfinite(loss.item())
+        loss, grad = bce_value_and_grad(
+            np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]])
+        )
+        assert np.isfinite(loss) and np.isfinite(grad).all()
 
     def test_gradient_direction(self):
-        raw = Tensor(np.array([[0.3]]), requires_grad=True)
-        loss = binary_cross_entropy(raw, np.array([[1.0]]))
-        loss.backward()
-        assert raw.grad[0, 0] < 0  # increasing probability lowers the loss
+        _, grad = bce_value_and_grad(np.array([[0.3]]), np.array([[1.0]]))
+        assert grad[0, 0] < 0  # increasing probability lowers the loss
+
+    def test_bit_identical_to_autograd(self, rng):
+        """Value and gradient equal the ``Tensor`` BCE's, bit for bit, at
+        random, clamped (0 and 1) and near-clamp probabilities."""
+        probabilities = np.concatenate(
+            [rng.random((29, 1)), [[0.0], [1.0], [1.0 - 1e-7 + 1e-12]]]
+        )
+        for targets in (np.ones((32, 1)), np.zeros((32, 1)),
+                        (rng.random((32, 1)) < 0.5).astype(float)):
+            tensor = Tensor(probabilities.copy(), requires_grad=True)
+            expected = reference_gan.binary_cross_entropy(tensor, targets)
+            expected.backward()
+            loss, grad = bce_value_and_grad(probabilities, targets)
+            assert loss == expected.item()
+            np.testing.assert_array_equal(grad, tensor.grad)
 
 
 class TestMSE:

@@ -7,7 +7,9 @@ import threading
 
 import pytest
 
+from repro import SERDConfig, load_dataset
 from repro.cli import main as cli_main
+from repro.privacy.dpsgd import DPSGDConfig
 from repro.privacy.report import (
     PrivacyAuditConfig,
     build_privacy_report,
@@ -15,9 +17,10 @@ from repro.privacy.report import (
     summarize_report,
 )
 from repro.runtime.io import atomic_write_json, read_json
-from repro.service import JobQueue
+from repro.service import JobQueue, ModelRegistry
 from repro.service.api import ServiceContext, make_server
 from repro.service.client import ServiceClient, ServiceError
+from repro.textgen.transformer_backend import TransformerTextSynthesizerConfig
 
 
 @pytest.fixture
@@ -220,3 +223,45 @@ class TestPrivacyAuditCli:
         side = report["nearest_record"]["table_a"]
         assert side["exact_copies"] == side["n_synthetic"]
         assert side["dcr"]["min"] == pytest.approx(0.0)
+
+
+class TestLoadedDPModel:
+    """A DP model's accountant is saved with its text backends, so a loaded
+    model reports the ε it was sealed with."""
+
+    def test_loaded_epsilon_matches_sealed_claim(self, tmp_path, capsys):
+        config = SERDConfig(
+            seed=7, text_backend="transformer", dp=DPSGDConfig(),
+            reject_entities=False,
+            transformer=TransformerTextSynthesizerConfig(
+                n_buckets=2, training_iterations=2, n_candidates=2,
+                pairs_per_bucket=8, max_length=12,
+            ),
+        )
+        registry = ModelRegistry(tmp_path / "registry")
+        entry = registry.register(
+            "restaurant", load_dataset("restaurant", scale=0.03, seed=7), config,
+            train_gan=False,
+        )
+        stored = read_json(
+            registry.version_dir("restaurant", entry.version)
+            / "privacy_report.json",
+            what="privacy report",
+        )
+        synthesizer, _ = registry.load("restaurant")
+        epsilons = [
+            backend.epsilon(stored["delta"])
+            for backend in synthesizer._text_backends.values()
+        ]
+        assert len(epsilons) == 2 and stored["claimed_epsilon"] > 1.0
+        assert float(sum(epsilons)) == stored["claimed_epsilon"]
+        exit_code = cli_main(
+            [
+                "privacy-audit",
+                "--registry", str(registry.root),
+                "--model", "restaurant",
+                "--check",
+            ]
+        )
+        assert exit_code == 0
+        assert "OK: rebuilt report matches" in capsys.readouterr().out
